@@ -6,7 +6,8 @@ Usage::
     PYTHONPATH=src python scripts/gen_equivalence_goldens.py
 
 Writes ``tests/goldens/equivalence_digests.json``: one SHA-256 digest
-per (engine, seed, telemetry) cell plus one fault-plan run, each
+per (engine, seed, telemetry) cell, one fault-plan run and a 4-shard
+2PC + replication cell with telemetry on and off, each
 covering the run's full observable output (exact latency sequence,
 final virtual clock, metrics snapshot, abort/failure/fault counts —
 see ``repro.bench.digest``).
@@ -26,8 +27,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench import paperconfig as pc
 from repro.bench.digest import run_digest
-from repro.bench.runner import run_experiment
+from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.faults import named_plan
+from repro.replication import ReplicationConfig
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "..", "tests", "goldens",
@@ -58,6 +60,29 @@ def golden_configs():
         "VATS", seed=SEEDS[0], n_txns=N_TXNS,
     ).replaced(fault_plan=named_plan("full-chaos"))
     yield "mysql/seed7/full-chaos", chaos
+    # One sharded run: 4 MySQL shards with 2PC, one semi-sync replica
+    # each serving reads, oracles on.  It is the only cell where several
+    # buffer pools are prewarmed in one process.
+    workload_kwargs = pc.tpcc_contended_kwargs()
+    workload_kwargs["remote_payment_prob"] = 0.15
+    cluster = ExperimentConfig(
+        engine="mysql",
+        workload="tpcc",
+        workload_kwargs=workload_kwargs,
+        engine_config=pc.mysql_128wh("VATS"),
+        seed=SEEDS[0],
+        n_txns=N_TXNS,
+        rate_tps=pc.RATE_TPS,
+        num_shards=4,
+        replicas=1,
+        replication=ReplicationConfig(mode="semi_sync",
+                                      read_policy="replica_ok"),
+        check=True,
+    )
+    for telemetry in (True, False):
+        key = "mysql-4shard-2pc-repl/seed%d/telemetry-%s" % (
+            SEEDS[0], "on" if telemetry else "off")
+        yield key, cluster.replaced(telemetry=telemetry)
 
 
 def main():

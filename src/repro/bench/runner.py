@@ -342,6 +342,25 @@ def run_experiment(config, simulator_cls=None):
     production :class:`~repro.sim.kernel.Simulator`); the perf harness
     uses it to time the reference kernel on identical workloads.
     """
+    # Building and running allocate at a rate that makes the cyclic
+    # GC's periodic scans pure overhead: a prewarmed buffer pool alone
+    # is tens of thousands of page frames per engine, and the simulation
+    # state is one big live object graph with almost nothing collectable
+    # mid-run.  Pausing collection is invisible in virtual time.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim, log, engine = _build_run(config, simulator_cls)
+        sim.run()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    warmup_count = int(config.n_txns * config.warmup_fraction)
+    return RunResult(config, log, engine, sim, warmup_count)
+
+
+def _build_run(config, simulator_cls):
+    """Assemble the simulator, engine (or cluster) and started driver."""
     registry = MetricsRegistry() if config.telemetry else NULL_REGISTRY
     streams = Streams(config.seed)
     plan = config.fault_plan
@@ -392,20 +411,7 @@ def run_experiment(config, simulator_cls=None):
         n_txns=config.n_txns,
     )
     driver.start()
-    # The run allocates generators and tuples at a rate that makes the
-    # cyclic GC's periodic scans pure overhead (simulation state is one
-    # big live object graph; almost nothing is collectable mid-run).
-    # Pausing collection is invisible in virtual time.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        sim.run()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    warmup_count = int(config.n_txns * config.warmup_fraction)
-    return RunResult(config, log, engine, sim, warmup_count)
+    return sim, log, engine
 
 
 def _build_cluster(config, sim, tracer, workload, streams, engine_cls):

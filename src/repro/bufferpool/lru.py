@@ -13,15 +13,42 @@ live in :mod:`repro.bufferpool.pool`.
 """
 
 from collections import OrderedDict
+from itertools import compress
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
+import numpy as np
+
+
+def _fill_orders(page_ids, old_ratio):
+    """Young and old orders after ``insert_old`` of each id into an empty list.
+
+    The closed form of that loop.  Per insert, the rebalance reduces to
+    at most one promotion of the just-inserted old head: from empty the
+    old sublist only ever *exceeds* its target (so the demote loop is
+    dead), and one promotion restores ``n_old <= target + 1``.  After
+    insert ``i`` (1-based) ``n_old`` is always ``int(i * old_ratio) + 1``,
+    so insert ``i`` promotes iff ``int(i*r) == int((i-1)*r)``.  The young
+    order is the promoted ids in insertion order; the old order is the
+    rest, newest first.  ``page_ids`` must be distinct.
+    """
+    n = len(page_ids)
+    floors = np.floor(np.arange(1, n + 1, dtype=np.float64) * old_ratio)
+    promote = np.zeros(n, dtype=bool)
+    np.equal(floors[1:], floors[:-1], out=promote[1:])
+    young = tuple(compress(page_ids, promote.tolist()))
+    old = tuple(compress(page_ids, (~promote).tolist()))[::-1]
+    return young, old
 
 
 class LRUList:
     """Young/old split LRU over opaque page ids."""
+
+    #: The last fill from a tuple that fits the list:
+    #: ``(page_ids, capacity, old_ratio, fresh, young, old)``.  One entry
+    #: is enough: every shard of a cluster prewarms from the same
+    #: memoised tuple (``TableCatalog.page_ids``), so all but the first
+    #: fill are hits.  The entry holds ``page_ids`` itself, so that
+    #: tuple's identity cannot be reused by another object.
+    _fill_image = None
 
     def __init__(self, capacity, old_ratio=3.0 / 8.0, young_reorder_depth=0.25):
         if capacity < 2:
@@ -87,10 +114,11 @@ class LRUList:
     def insert_old_many(self, page_ids):
         """Insert many new pages, exactly as ``insert_old`` one by one.
 
-        The bulk prewarm path: one call instead of tens of thousands,
-        with the per-insert rebalance inlined and its bookkeeping kept
-        in locals.  Final list state is identical to the loop of
-        ``insert_old`` calls (the equivalence goldens pin this).
+        The bulk path for prewarming a non-empty pool: one call instead
+        of thousands, with the per-insert rebalance inlined and its
+        bookkeeping kept in locals.  Final list state is identical to
+        the loop of ``insert_old`` calls.  An empty list is filled much
+        faster by :meth:`fill`.
         """
         young = self._young
         old = self._old
@@ -98,68 +126,6 @@ class LRUList:
         clock = self._clock
         old_ratio = self.old_ratio
         capacity = self.capacity
-        if not young and not old and not clock:
-            # From-empty bulk fill (the prewarm path) admits a closed
-            # form.  Per insert, the rebalance reduces to at most one
-            # promotion of the just-inserted old head: the old sublist
-            # only ever *exceeds* its target (n_old >= target is an
-            # invariant from empty, so the demote loop is dead), and a
-            # single promotion restores n_old <= target + 1.  Hence the
-            # final young order is the promotion (= insertion) order of
-            # the promoted pages, and the final old order is the other
-            # pages newest-first.
-            page_ids = list(page_ids)
-            n = len(page_ids)
-            if (
-                _np is not None
-                and n > 512
-                and n <= capacity
-                and not stamp
-                and len(set(page_ids)) == n
-            ):
-                # Vectorised form of the loop below.  From empty,
-                # n_old after insert i (1-based) is always
-                # ``int(i * old_ratio) + 1``, so insert i promotes its
-                # old head iff ``int(i*r) == int((i-1)*r)`` — a pure
-                # function of i computable in one numpy pass.  (Guarded
-                # to the duplicate-free, within-capacity case so the
-                # scalar loop keeps its exact partial-state exception
-                # behaviour.)
-                fl = _np.floor(
-                    _np.arange(1, n + 1, dtype=_np.float64) * old_ratio
-                )
-                promote = _np.empty(n, dtype=bool)
-                promote[0] = False
-                _np.equal(fl[1:], fl[:-1], out=promote[1:])
-                promote = promote.tolist()
-                stayers = [p for p, m in zip(page_ids, promote) if not m]
-                young.update(
-                    dict.fromkeys(
-                        (p for p, m in zip(page_ids, promote) if m), True
-                    )
-                )
-                old.update(dict.fromkeys(reversed(stayers), True))
-                stamp.update(dict.fromkeys(page_ids, clock))
-                return
-            stayers = []
-            n_old = 0
-            i = 0
-            for page_id in page_ids:
-                if page_id in stamp:
-                    raise KeyError("page %r already in LRU" % (page_id,))
-                if i >= capacity:
-                    raise RuntimeError("LRU full; evict first")
-                i += 1
-                n_old += 1
-                if n_old > int(i * old_ratio) + 1:
-                    young[page_id] = True
-                    n_old -= 1
-                else:
-                    stayers.append(page_id)
-                stamp[page_id] = clock
-            for page_id in reversed(stayers):
-                old[page_id] = True
-            return
         n_young = len(young)
         n_old = len(old)
         for page_id in page_ids:
@@ -185,6 +151,39 @@ class LRUList:
                 young[head] = True
                 n_old -= 1
                 n_young += 1
+
+    def fill(self, page_ids):
+        """Fill an empty list as ``insert_old`` of each new id would.
+
+        Repeated ids are skipped and the fill stops at capacity (the
+        prewarm contract).  Returns the tuple of ids inserted.  The
+        orders come from the closed form (``_fill_orders``); a source
+        tuple that fits is computed once and its orders copied into
+        every later list filled from it (``_fill_image``).
+        """
+        if self._young or self._old:
+            raise RuntimeError("fill needs an empty LRU list")
+        capacity = self.capacity
+        old_ratio = self.old_ratio
+        image = LRUList._fill_image
+        if (
+            image is not None
+            and image[0] is page_ids
+            and image[1] == capacity
+            and image[2] == old_ratio
+        ):
+            fresh, young, old = image[3:]
+        else:
+            fresh = tuple(dict.fromkeys(page_ids))[:capacity]
+            young, old = _fill_orders(fresh, old_ratio)
+            if isinstance(page_ids, tuple) and len(page_ids) <= capacity:
+                LRUList._fill_image = (
+                    page_ids, capacity, old_ratio, fresh, young, old
+                )
+        self._young = OrderedDict.fromkeys(young, True)
+        self._old = OrderedDict.fromkeys(old, True)
+        self._stamp = dict.fromkeys(fresh, self._clock)
+        return fresh
 
     def make_young(self, page_id):
         """Promote a page to the head of the young sublist."""

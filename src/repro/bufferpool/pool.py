@@ -167,8 +167,16 @@ class BufferPool:
         cold-start transient.  Pages are inserted clean at the old head;
         the LRU will sort itself out as traffic arrives.  Returns the
         number of pages resident afterwards.
+
+        An empty pool takes :meth:`LRUList.fill`, which shares its list
+        orders between pools prewarmed from the same page-id tuple; the
+        frames are always this pool's own.
         """
         pages = self._pages
+        if not pages:
+            fresh = self._lru.fill(page_ids)
+            pages.update(zip(fresh, map(Page, fresh)))
+            return len(pages)
         capacity = self.config.capacity_pages
         n = len(pages)
         fresh = []

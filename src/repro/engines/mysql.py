@@ -191,7 +191,7 @@ class MySQLEngine(Engine):
         )
         self.pool = BufferPool(sim, tracer, self.data_disk, pool_config)
         if self.config.prewarm:
-            self.pool.prewarm(self.catalog.iter_pages())
+            self.pool.prewarm(self.catalog.page_ids())
         self.cpu = CoreSet(sim, self.config.n_cores)
         self._stmt_cpu_dist = LogNormal(
             self.config.statement_cpu, self.config.statement_cpu_cv

@@ -65,21 +65,21 @@ class BTreeIndex:
         )
         self.reorg_probability = reorg_probability
         self.n_leaves = max(1, int(math.ceil(n_keys / float(keys_per_leaf))))
+        # Interior page counts per level, from just above the leaves up
+        # to the one-page root: each level is ceil(width below / fanout).
+        widths = []
+        width = self.n_leaves
+        while width > 1:
+            width = -(-width // fanout)
+            widths.append(width)
+        self.level_widths = tuple(widths)
         # Depth counts the levels *above* the leaf level.
-        self.depth = self._compute_depth()
+        self.depth = len(widths)
         # slot -> tuple of interior page ids (see interior_pages).
         self._path_cache = {}
         # slot -> full descent path (interior pages + leaf), for callers
         # that walk the whole path at once.  Bounded by n_leaves.
         self._full_path_cache = {}
-
-    def _compute_depth(self):
-        depth = 0
-        width = self.n_leaves
-        while width > 1:
-            width = int(math.ceil(width / float(self.fanout)))
-            depth += 1
-        return depth
 
     # ------------------------------------------------------------------
     # Page mapping
@@ -111,24 +111,16 @@ class BTreeIndex:
 
     def iter_pages(self):
         """All page ids, interior levels first (they should stay hottest)."""
-        width = self.n_leaves
-        for level in range(self.depth, 0, -1):
-            width_above = int(math.ceil(self.n_leaves / float(self.fanout) ** (self.depth - level + 1)))
-            for slot in range(width_above):
+        for level, width in zip(range(self.depth, 0, -1), self.level_widths):
+            for slot in range(width):
                 yield (self.name, "int%d" % level, slot)
-            width = width_above
         for leaf in range(self.n_leaves):
             yield (self.name, "leaf", leaf)
 
     @property
     def total_pages(self):
         """Leaf + interior page count (the table's working-set footprint)."""
-        pages = self.n_leaves
-        width = self.n_leaves
-        while width > 1:
-            width = int(math.ceil(width / float(self.fanout)))
-            pages += width
-        return pages
+        return self.n_leaves + sum(self.level_widths)
 
     # ------------------------------------------------------------------
     # Traversal / mutation cost generators

@@ -1,5 +1,7 @@
 """Experiment harness: configs, results, ratio tables, profiled adapter."""
 
+import gc
+
 import pytest
 
 from repro.bench.compare import geometric_mean, ratio_row, ratios
@@ -7,6 +9,7 @@ from repro.bench.profiled import EngineProfiledSystem
 from repro.bench.runner import ExperimentConfig, engine_callgraph, run_experiment
 from repro.core.report import render_profile, render_ratio_table, render_summary_table
 from repro.engines.mysql import MySQLConfig
+from repro.sim.kernel import Simulator
 from repro.sim.stats import summarize
 
 
@@ -68,6 +71,47 @@ class TestRunResult:
         a = run_experiment(tiny_config())
         b = run_experiment(tiny_config(seed=2))
         assert a.latencies != b.latencies
+
+
+class TestGcScope:
+    """``run_experiment`` pauses the cyclic GC and restores it as found."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_after_run(self, enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        run_experiment(tiny_config(n_txns=20))
+        assert gc.isenabled() is enabled
+
+    def test_build_runs_with_gc_paused(self):
+        seen = []
+
+        class ProbeSimulator(Simulator):
+            def __init__(self, *args, **kwargs):
+                seen.append(gc.isenabled())
+                super().__init__(*args, **kwargs)
+
+        gc.enable()
+        run_experiment(tiny_config(n_txns=20), simulator_cls=ProbeSimulator)
+        assert seen == [False]
+
+    def test_state_restored_when_build_raises(self):
+        gc.enable()
+        config = tiny_config(engine="voltdb", engine_config=None, num_shards=2)
+        with pytest.raises(ValueError, match="2PC"):
+            run_experiment(config)
+        assert gc.isenabled()
 
 
 class TestRatios:

@@ -1,5 +1,6 @@
 """B-tree cost model: depth, page mapping, insert paths."""
 
+import math
 import random
 
 import pytest
@@ -41,6 +42,45 @@ def test_total_pages_consistent_with_iter_pages():
     pages = list(index.iter_pages())
     assert len(pages) == index.total_pages
     assert len(set(pages)) == len(pages)
+
+
+def _float_width_pages(index):
+    """Page ids as the float-power width formula enumerated them."""
+    depth = 0
+    width = index.n_leaves
+    while width > 1:
+        width = int(math.ceil(width / float(index.fanout)))
+        depth += 1
+    pages = []
+    for level in range(depth, 0, -1):
+        width = int(math.ceil(
+            index.n_leaves / float(index.fanout) ** (depth - level + 1)))
+        pages.extend((index.name, "int%d" % level, s) for s in range(width))
+    pages.extend((index.name, "leaf", leaf) for leaf in range(index.n_leaves))
+    return pages, depth
+
+
+def _boundary_key_counts(fanout, keys_per_leaf, max_keys=100_000):
+    """1, each power of ``fanout * keys_per_leaf`` and its neighbours."""
+    counts = {1}
+    exact = fanout * keys_per_leaf
+    while exact <= max_keys:
+        counts.update((exact - 1, exact, exact + 1))
+        exact *= fanout * keys_per_leaf
+    return sorted(counts)
+
+
+@pytest.mark.parametrize(
+    "fanout,keys_per_leaf", [(2, 1), (3, 2), (7, 3), (10, 10), (100, 64)]
+)
+def test_page_ids_match_float_width_formula(fanout, keys_per_leaf):
+    for n_keys in _boundary_key_counts(fanout, keys_per_leaf):
+        index = BTreeIndex("t", n_keys, fanout=fanout, keys_per_leaf=keys_per_leaf)
+        pages, depth = _float_width_pages(index)
+        assert list(index.iter_pages()) == pages, n_keys
+        assert index.depth == depth
+        assert index.total_pages == len(pages)
+        assert len(index.level_widths) == depth
 
 
 def test_search_pages_are_subset_of_iter_pages():

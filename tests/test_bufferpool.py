@@ -1,7 +1,12 @@
-"""Buffer pool: LRU behaviour, miss path, Lazy LRU Update."""
+"""Buffer pool: LRU behaviour, miss path, Lazy LRU Update, prewarm."""
+
+import importlib.util
+import os
 
 import pytest
 
+from repro.bench.digest import run_digest
+from repro.bench.runner import run_experiment
 from repro.bufferpool.lru import LRUList
 from repro.bufferpool.pool import BufferPool, BufferPoolConfig
 from repro.core.annotations import TransactionContext, TransactionLog
@@ -9,6 +14,8 @@ from repro.core.tracing import Tracer
 from repro.sim.disk import Disk, DiskConfig
 from repro.sim.kernel import Timeout
 from repro.sim.rand import Streams
+from repro.storage.tables import TableCatalog
+from tests.util import hash_seed_outputs
 
 
 class TestLRUList:
@@ -280,9 +287,9 @@ class TestEvictionRace:
 class TestInsertOldMany:
     """``insert_old_many`` must equal a loop of ``insert_old`` calls.
 
-    Three implementations share this contract: the generic fallback
-    loop, the from-empty closed form, and the numpy-vectorised
-    from-empty path (taken only above 512 pages).
+    From empty and from a non-empty list, with the same errors.  The
+    closed-form fill of an empty list is ``LRUList.fill``, pinned by
+    ``TestPrewarmImage``.
     """
 
     @staticmethod
@@ -301,9 +308,6 @@ class TestInsertOldMany:
 
     @pytest.mark.parametrize("old_ratio", [0.125, 3.0 / 8.0, 0.5, 0.9])
     def test_vector_path_matches_scalar_closed_form(self, old_ratio):
-        # n > 512 takes the numpy path (when numpy is present); build a
-        # second list just below the threshold plus singles to force the
-        # scalar form on identical input, and compare final states.
         n = 600
         pages = ["p%d" % i for i in range(n)]
         vector = LRUList(capacity=4096, old_ratio=old_ratio)
@@ -332,8 +336,7 @@ class TestInsertOldMany:
             lru.insert_old_many(["a", "b", "a"])
 
     def test_duplicate_against_vector_guard(self):
-        # >512 pages with one duplicate: the vector path must decline
-        # (its guard) and the scalar loop raises exactly like insert_old.
+        # >512 pages with one duplicate raises exactly like insert_old.
         pages = ["p%d" % i for i in range(600)] + ["p0"]
         lru = LRUList(capacity=4096)
         with pytest.raises(KeyError):
@@ -343,3 +346,164 @@ class TestInsertOldMany:
         lru = LRUList(capacity=16)
         with pytest.raises(RuntimeError):
             lru.insert_old_many(["p%d" % i for i in range(17)])
+
+
+CLUSTER_GOLDEN = "mysql-4shard-2pc-repl/seed7/telemetry-on"
+
+
+def cluster_golden_digest():
+    """Digest of the 4-shard golden cell, built as the goldens script does."""
+    script = os.path.join(
+        os.path.dirname(__file__), "..", "scripts", "gen_equivalence_goldens.py"
+    )
+    spec = importlib.util.spec_from_file_location("gen_goldens", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    config = dict(module.golden_configs())[CLUSTER_GOLDEN]
+    return run_digest(run_experiment(config))
+
+
+class TestPrewarmImage:
+    """An empty pool's prewarm: shared list orders, per-pool frames.
+
+    Every pool prewarmed from the same page-id tuple (with the same
+    capacity and old ratio) copies one cached fill image; the result
+    must be exactly what a loop of ``insert_old`` builds.
+    """
+
+    @staticmethod
+    def _page_ids(**schema):
+        return TableCatalog.from_schema(schema or {"a": 9000, "b": 30000}).page_ids()
+
+    @staticmethod
+    def _state(pool):
+        lru = pool._lru
+        return (
+            list(pool._pages),
+            list(lru._young),
+            list(lru._old),
+            dict(lru._stamp),
+            lru._clock,
+        )
+
+    @pytest.mark.parametrize("old_ratio", [0.125, 3.0 / 8.0, 0.5, 0.9])
+    def test_image_hit_matches_insert_old_loop(self, sim, old_ratio):
+        ids = self._page_ids()
+        loop = LRUList(capacity=len(ids) + 5, old_ratio=old_ratio)
+        for page_id in ids:
+            loop.insert_old(page_id)
+        expected = (
+            list(ids), list(loop._young), list(loop._old), dict(loop._stamp),
+            loop._clock,
+        )
+        first, _ = make_pool(sim, capacity_pages=len(ids) + 5, old_ratio=old_ratio)
+        first.prewarm(ids)
+        image = LRUList._fill_image
+        second, _ = make_pool(sim, capacity_pages=len(ids) + 5, old_ratio=old_ratio)
+        second.prewarm(ids)
+        assert LRUList._fill_image is image  # the second pool hit
+        assert self._state(first) == expected
+        assert self._state(second) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 37, 513, 2000])
+    def test_fill_matches_insert_old_loop(self, n):
+        # A list source never enters the image; repeats are skipped.
+        pages = ["p%d" % i for i in range(n)] + ["p0", "p1"]
+        fill = LRUList(capacity=4096)
+        loop = LRUList(capacity=4096)
+        inserted = fill.fill(pages)
+        for page in dict.fromkeys(pages):
+            loop.insert_old(page)
+        assert inserted == tuple(dict.fromkeys(pages))
+        assert TestInsertOldMany._state(fill) == TestInsertOldMany._state(loop)
+
+    def test_fill_rejects_a_non_empty_list(self):
+        lru = LRUList(capacity=16)
+        lru.insert_old("a")
+        with pytest.raises(RuntimeError):
+            lru.fill(["b"])
+
+    def test_frames_and_lists_are_per_pool(self, sim):
+        ids = self._page_ids()
+        pools = [make_pool(sim, capacity_pages=len(ids))[0] for _ in range(2)]
+        for pool in pools:
+            pool.prewarm(ids)
+        a, b = pools
+        for page_id in ids:
+            assert a._pages[page_id] is not b._pages[page_id]
+        a._pages[ids[-1]].dirty = True
+        assert not b._pages[ids[-1]].dirty
+        assert a._lru._young is not b._lru._young
+        assert a._lru._old is not b._lru._old
+        a._lru.make_young(ids[-1])
+        assert a._lru._young != b._lru._young
+        assert b._lru._stamp[ids[-1]] == 0
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"capacity_pages": 1},
+            {"old_ratio": 0.5},
+            {"schema": {"a": 9000, "b": 30001}},
+        ],
+        ids=["capacity", "old_ratio", "catalog-shape"],
+    )
+    def test_changed_key_misses(self, sim, change):
+        ids = self._page_ids()
+        base = {"capacity_pages": len(ids) + 10, "old_ratio": 3.0 / 8.0}
+        make_pool(sim, **base)[0].prewarm(ids)
+        image = LRUList._fill_image
+        assert image[0] is ids
+        kwargs = dict(base)
+        kwargs["capacity_pages"] += change.get("capacity_pages", 0)
+        kwargs["old_ratio"] = change.get("old_ratio", kwargs["old_ratio"])
+        other = self._page_ids(**change["schema"]) if "schema" in change else ids
+        pool = make_pool(sim, **kwargs)[0]
+        pool.prewarm(other)
+        assert LRUList._fill_image is not image
+        loop = LRUList(capacity=kwargs["capacity_pages"], old_ratio=kwargs["old_ratio"])
+        for page_id in other:
+            loop.insert_old(page_id)
+        assert list(pool._lru._young) == list(loop._young)
+        assert list(pool._lru._old) == list(loop._old)
+
+    @pytest.mark.parametrize("source", ["list", "over-capacity"])
+    def test_uncacheable_sources_leave_the_image(self, sim, source):
+        ids = self._page_ids()
+        make_pool(sim, capacity_pages=len(ids))[0].prewarm(ids)
+        image = LRUList._fill_image
+        if source == "list":
+            pool = make_pool(sim, capacity_pages=len(ids))[0]
+            pool.prewarm(list(ids))
+        else:
+            pool = make_pool(sim, capacity_pages=len(ids) - 7)[0]
+            pool.prewarm(ids)
+        assert LRUList._fill_image is image
+        loop = LRUList(capacity=pool.config.capacity_pages)
+        for page_id in ids[: pool.config.capacity_pages]:
+            loop.insert_old(page_id)
+        assert list(pool._pages) == list(ids[: pool.config.capacity_pages])
+        assert list(pool._lru._young) == list(loop._young)
+        assert list(pool._lru._old) == list(loop._old)
+
+    def test_non_empty_pool_prewarms_incrementally(self, sim):
+        pool, _disk = make_pool(sim, capacity_pages=700)
+        run_fix(sim, pool, TransactionContext(sim, 1, "t"), "read-first")
+        ids = ["p%d" % i for i in range(1000)] + ["read-first"]
+        assert pool.prewarm(ids) == 700
+        loop = LRUList(capacity=700)
+        for page_id in ["read-first"] + ids[:699]:
+            loop.insert_old(page_id)
+        assert list(pool._pages) == ["read-first"] + ids[:699]
+        assert list(pool._lru._young) == list(loop._young)
+        assert list(pool._lru._old) == list(loop._old)
+
+    def test_cluster_digest_warm_equals_cold(self):
+        warm = [cluster_golden_digest() for _ in range(2)]
+        cold = hash_seed_outputs(
+            "import sys, json; sys.path[:0] = json.loads(sys.argv[1]); "
+            "from tests.test_bufferpool import cluster_golden_digest; "
+            "print(cluster_golden_digest())",
+            hash_seeds=("0",),
+        )[0].strip()
+        assert warm == [cold, cold]

@@ -47,6 +47,20 @@ def test_iter_pages_covers_catalog():
     assert len(set(pages)) == len(pages)
 
 
+def test_page_ids_shared_by_equal_shapes():
+    schema = {"a": 5_000, "b": 7_000}
+    first = TableCatalog.from_schema(schema)
+    second = TableCatalog.from_schema(schema)
+    assert first.page_ids() == tuple(first.iter_pages())
+    assert first.page_ids() is second.page_ids()
+    first["a"].inserts += 1
+    assert second["a"].inserts == 0  # tables stay per catalog
+    shared = first.page_ids()
+    other = TableCatalog.from_schema({"a": 5_000, "b": 7_001})
+    assert other.page_ids() is not shared
+    assert other.page_ids() == tuple(other.iter_pages())
+
+
 def test_minimum_one_row():
     table = Table("empty", 0)
     assert table.n_rows == 1
