@@ -58,3 +58,39 @@ def run_digest(result):
         run_payload(result), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def _factor_rows(durations):
+    return sorted([name, site, value.hex()]
+                  for (name, site), value in durations.items())
+
+
+def trace_payload(log):
+    """The canonical view of every trace's frame attribution.
+
+    Covers each trace in ``log.traces`` — failed ones included, in log
+    order — with its ``txn_id``, ``committed`` flag and the exact
+    ``durations`` and ``under`` maps.  :func:`run_digest` sees only the
+    committed latencies, so this is what pins *where* instrumented time
+    was attributed.
+    """
+    return [
+        {
+            "txn_id": trace.txn_id,
+            "committed": trace.committed,
+            "durations": _factor_rows(trace.durations),
+            "under": sorted(
+                [name, site, _factor_rows(children)]
+                for (name, site), children in trace.under.items()
+            ),
+        }
+        for trace in log.traces
+    ]
+
+
+def trace_digest(log):
+    """SHA-256 over :func:`trace_payload` of ``log``."""
+    blob = json.dumps(
+        trace_payload(log), sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()

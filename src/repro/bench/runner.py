@@ -377,9 +377,11 @@ def _build_run(config, simulator_cls):
     workload = make_workload(config.workload, **config.workload_kwargs)
     log = TransactionLog()
     engine_cls, _config_cls, callgraph_factory = _ENGINES[config.engine]
+    callgraph = callgraph_factory()
+    _check_probe_names(config, callgraph)
     tracer = Tracer(
         sim,
-        callgraph_factory(),
+        callgraph,
         instrumented=config.instrumented,
         probe_cost=config.probe_cost,
         log=log,
@@ -412,6 +414,29 @@ def _build_run(config, simulator_cls):
     )
     driver.start()
     return sim, log, engine
+
+
+def _check_probe_names(config, callgraph):
+    """Fail loudly on probe names the run can never fire.
+
+    A typo in ``instrumented`` would otherwise profile nothing without a
+    word.  Besides the engine's call graph, the frames the cluster,
+    replication and recovery layers attribute themselves are allowed.
+    """
+    unknown = [name for name in sorted(config.instrumented) if name not in callgraph]
+    if not unknown:
+        return
+    from repro.cluster.coordinator import DIST_FRAMES
+    from repro.recovery import RECOVERY_FRAMES
+    from repro.replication import REPLICATION_FRAMES
+
+    layer_frames = DIST_FRAMES + REPLICATION_FRAMES + RECOVERY_FRAMES
+    unknown = [name for name in unknown if name not in layer_frames]
+    if unknown:
+        raise ValueError(
+            "instrumented names not in the %s call graph: %s"
+            % (config.engine, ", ".join(unknown))
+        )
 
 
 def _build_cluster(config, sim, tracer, workload, streams, engine_cls):

@@ -17,7 +17,8 @@ Cost model (virtual time):
 The traced function names match InnoDB so TProfiler's findings read like
 Table 1: ``buf_page_make_young`` -> ``buf_pool_mutex_enter`` ->
 ``buf_LRU_make_block_young``; the miss path is ``buf_read_page`` ->
-``buf_pool_mutex_enter`` / ``buf_LRU_get_free_block``.
+``buf_pool_mutex_enter`` / ``buf_LRU_get_free_block``.  Each path is one
+flat generator carrying those frames as inline tracer markers.
 """
 
 from repro.bufferpool.lru import LRUList
@@ -224,14 +225,10 @@ class BufferPool:
                     lru.young_reorder_depth * len(young)
                 )
             if promote:
-                yield from self.tracer.traced(
-                    ctx, "buf_page_make_young", self._make_young(ctx, page_id, backlog)
-                )
+                yield from self._make_young(ctx, page_id, backlog)
             return page
         self.misses += 1
-        page = yield from self.tracer.traced(
-            ctx, "buf_read_page", self._read_in(ctx, page_id)
-        )
+        page = yield from self._read_in(ctx, page_id)
         if dirty:
             page.dirty = True
         return page
@@ -249,40 +246,60 @@ class BufferPool:
     # ------------------------------------------------------------------
 
     def _make_young(self, ctx, page_id, backlog):
-        if self.config.lazy_lru:
-            yield from self._make_young_lazy(ctx, page_id, backlog)
+        """Generator: ``buf_page_make_young`` for a hit that needs promoting.
+
+        One flat generator with inline markers for the frames below it
+        (see :mod:`repro.core.tracing`): ``buf_pool_mutex_enter`` at site
+        ``make_young``, then ``buf_LRU_make_block_young`` under the
+        mutex.  With Lazy LRU Update the mutex is a spin lock; a spin
+        timeout defers the promotion to the worker's ``backlog``.
+        """
+        tracer = self.tracer
+        charge = tracer.probe_charge()
+        instrumented = tracer.instrumented if ctx is not None else ()
+        on_young = "buf_page_make_young" in instrumented
+        on_mutex = "buf_pool_mutex_enter" in instrumented
+        on_block = "buf_LRU_make_block_young" in instrumented
+        if on_young:
+            yield from charge
+            young_frame = tracer.enter(ctx, "buf_page_make_young")
+        if on_mutex:
+            yield from charge
+            mutex_frame = tracer.enter(ctx, "buf_pool_mutex_enter", "make_young")
+        mutex = self.mutex
+        lazy = self.config.lazy_lru
+        if lazy:
+            acquired = yield from mutex.try_acquire()
         else:
-            yield from self._make_young_eager(ctx, page_id)
-
-    def _make_young_eager(self, ctx, page_id):
-        yield from self.tracer.traced(
-            ctx, "buf_pool_mutex_enter", self.mutex.acquire(), site="make_young"
-        )
-        held_since = self.sim.now
-        yield from self.tracer.traced(
-            ctx, "buf_LRU_make_block_young", self._apply_make_young(page_id)
-        )
-        self._t_hold_hist.observe(self.sim.now - held_since)
-        self.mutex.release()
-
-    def _make_young_lazy(self, ctx, page_id, backlog):
-        acquired = yield from self.tracer.traced(
-            ctx, "buf_pool_mutex_enter", self.mutex.try_acquire(), site="make_young"
-        )
-        if not acquired:
+            yield from mutex.acquire()
+            acquired = True
+        if on_mutex:
+            yield from charge
+            tracer.exit(ctx, mutex_frame)
+        if acquired:
+            held_since = self.sim.now
+            if lazy and backlog:
+                yield from self._apply_backlog(backlog)
+            if on_block:
+                yield from charge
+                block_frame = tracer.enter(ctx, "buf_LRU_make_block_young")
+            self.make_youngs += 1
+            yield self.config.list_op_cost
+            if page_id in self._pages:
+                self._lru.make_young(page_id)
+            if on_block:
+                yield from charge
+                tracer.exit(ctx, block_frame)
+            self._t_hold_hist.observe(self.sim.now - held_since)
+            mutex.release()
+        else:
             self.llu_deferrals += 1
             self._t_deferrals.inc()
             if backlog is not None:
                 backlog.append(page_id)
-            return
-        held_since = self.sim.now
-        if backlog:
-            yield from self._apply_backlog(backlog)
-        yield from self.tracer.traced(
-            ctx, "buf_LRU_make_block_young", self._apply_make_young(page_id)
-        )
-        self._t_hold_hist.observe(self.sim.now - held_since)
-        self.mutex.release()
+        if on_young:
+            yield from charge
+            tracer.exit(ctx, young_frame)
 
     def _apply_backlog(self, backlog):
         """Apply deferred updates (skipping pages evicted meanwhile)."""
@@ -294,63 +311,77 @@ class BufferPool:
             yield self.config.llu_backlog_apply_cost
             self._lru.make_young(page_id)
 
-    def _apply_make_young(self, page_id):
-        self.make_youngs += 1
-        yield self.config.list_op_cost
-        if page_id in self._pages:
-            self._lru.make_young(page_id)
-
     # ------------------------------------------------------------------
     # Miss path (buf_read_page)
     # ------------------------------------------------------------------
 
     def _read_in(self, ctx, page_id):
-        yield from self.tracer.traced(
-            ctx, "buf_pool_mutex_enter", self.mutex.acquire(), site="read_page"
-        )
+        """Generator: ``buf_read_page``; evaluates to the page read in.
+
+        Markers for ``buf_pool_mutex_enter`` (site ``read_page``) and
+        ``buf_LRU_get_free_block``, which finds a free frame while
+        holding the pool mutex — evicting a victim if the pool is full,
+        and writing a dirty victim back *under the mutex* (the MySQL 5.6
+        single-page-flush pathology that makes hold times heavy-tailed
+        under memory pressure).  The wanted page is read outside it.
+        """
+        tracer = self.tracer
+        charge = tracer.probe_charge()
+        instrumented = tracer.instrumented if ctx is not None else ()
+        on_read = "buf_read_page" in instrumented
+        on_mutex = "buf_pool_mutex_enter" in instrumented
+        on_free = "buf_LRU_get_free_block" in instrumented
+        if on_read:
+            yield from charge
+            read_frame = tracer.enter(ctx, "buf_read_page")
+        if on_mutex:
+            yield from charge
+            mutex_frame = tracer.enter(ctx, "buf_pool_mutex_enter", "read_page")
+        yield from self.mutex.acquire()
+        if on_mutex:
+            yield from charge
+            tracer.exit(ctx, mutex_frame)
         held_since = self.sim.now
+        config = self.config
+        pages = self._pages
         # Somebody else may have read the page in while we waited.
-        page = self._pages.get(page_id)
+        page = pages.get(page_id)
         if page is not None:
             self._t_hold_hist.observe(self.sim.now - held_since)
             self.mutex.release()
-            yield self.config.hit_cost
-            return page
-        yield from self.tracer.traced(
-            ctx, "buf_LRU_get_free_block", self._evict_for_free_frame()
-        )
-        # Reserve the slot so concurrent missers don't double-read, then
-        # read the page contents outside the mutex.
-        page = Page(page_id)
-        self._pages[page_id] = page
-        self._lru.insert_old(page_id)
-        self._t_hold_hist.observe(self.sim.now - held_since)
-        self._t_resident.set(len(self._pages))
-        self.mutex.release()
-        yield from self.disk.read(self.config.page_bytes)
+            yield config.hit_cost
+        else:
+            if on_free:
+                yield from charge
+                free_frame = tracer.enter(ctx, "buf_LRU_get_free_block")
+            yield config.evict_op_cost
+            lru = self._lru
+            victim_id = lru.victim() if len(lru) >= lru.capacity else None
+            if victim_id is not None:
+                victim = pages.pop(victim_id)
+                lru.remove(victim_id)
+                self.evictions += 1
+                self._t_evictions.inc()
+                if victim.dirty:
+                    self.dirty_writebacks += 1
+                    self._t_writebacks.inc()
+                    yield from self.disk.write(config.page_bytes)
+            if on_free:
+                yield from charge
+                tracer.exit(ctx, free_frame)
+            # Reserve the slot so concurrent missers don't double-read,
+            # then read the page contents outside the mutex.
+            page = Page(page_id)
+            pages[page_id] = page
+            self._lru.insert_old(page_id)
+            self._t_hold_hist.observe(self.sim.now - held_since)
+            self._t_resident.set(len(pages))
+            self.mutex.release()
+            yield from self.disk.read(config.page_bytes)
+        if on_read:
+            yield from charge
+            tracer.exit(ctx, read_frame)
         return page
-
-    def _evict_for_free_frame(self):
-        """Find a free frame, evicting (and flushing) a victim if needed.
-
-        Runs while holding the pool mutex; a dirty victim is written back
-        under the mutex (the MySQL 5.6 single-page-flush pathology that
-        makes hold times heavy-tailed under memory pressure).
-        """
-        yield self.config.evict_op_cost
-        if len(self._lru) < self._lru.capacity:
-            return
-        victim_id = self._lru.victim()
-        if victim_id is None:
-            return
-        victim = self._pages.pop(victim_id)
-        self._lru.remove(victim_id)
-        self.evictions += 1
-        self._t_evictions.inc()
-        if victim.dirty:
-            self.dirty_writebacks += 1
-            self._t_writebacks.inc()
-            yield from self.disk.write(self.config.page_bytes)
 
     def __repr__(self):
         return "<BufferPool %s pages=%d/%d hit_ratio=%.2f>" % (

@@ -1,14 +1,27 @@
 """Selective instrumentation of simulated engine functions.
 
-Engines route every "named function" through :meth:`Tracer.traced`::
+A "named function" is bracketed by inline markers in the generator that
+runs it::
 
-    def fil_flush(self, ctx):
-        yield from self.tracer.traced(ctx, "fil_flush", self._do_flush(ctx))
+    on_flush = "fil_flush" in tracer.instrumented   # once per attempt
+    charge = tracer.probe_charge()                   # () when probes are free
+    ...
+    if on_flush:
+        yield from charge                # entry probe, outside the frame
+        frame = tracer.enter(ctx, "fil_flush")
+    yield from disk.flush()
+    if on_flush:
+        yield from charge                # exit probe, inside the frame
+        tracer.exit(ctx, frame)
 
-When ``"fil_flush"`` is not in the instrumented set the call is delegated
-with zero overhead and nothing is recorded — this is the paper's key
-mechanism for keeping the latency profile representative (Section 3):
-only a carefully selected subset of the call graph is timed per run.
+Subsystems whose body is a generator of its own can wrap it instead::
+
+    yield from self.tracer.traced(ctx, "fil_flush", self._do_flush(ctx))
+
+When ``"fil_flush"`` is not in the instrumented set nothing is recorded
+and no virtual time passes — this is the paper's key mechanism for
+keeping the latency profile representative (Section 3): only a carefully
+selected subset of the call graph is timed per run.
 
 When instrumented, entry and exit timestamps on the virtual clock are
 recorded into the transaction's trace, and each probe charges
@@ -69,26 +82,65 @@ class Tracer:
         Delegates with zero overhead when ``name`` is not instrumented:
         the sub-generator itself is returned for the caller to ``yield
         from`` directly, so an uninstrumented call adds no generator
-        frame at all (engines make millions of these calls per run —
-        wrapping each in a pass-through ``yield from`` generator used to
-        double the delegation depth of every hot path).  Otherwise an
-        instrumenting wrapper records the invocation's duration into
-        ``ctx`` under the factor key and charges the probe cost at entry
-        and exit.
+        frame at all.  Otherwise an instrumenting wrapper brackets the
+        body with :meth:`enter`/:meth:`exit` and charges the probe cost
+        at entry and exit.  The engines' statement loops use the markers
+        inline instead; this wrapper serves subsystems whose bodies are
+        generators of their own (the WAL writers).
         """
         if ctx is None or name not in self.instrumented:
             return subgen
         return self._traced(ctx, name, subgen, site)
 
     def _traced(self, ctx, name, subgen, site):
-        parent = ctx.stack[-1] if ctx.stack else None
+        probe = self.probe_cost
+        if probe:
+            yield probe
+        frame = self.enter(ctx, name, site)
+        try:
+            result = yield from subgen
+        except BaseException:
+            # A node crash clears ``ctx.stack`` while killed workers are
+            # still inside their frames; finalizing them later must not
+            # raise over a frame that is already gone.
+            if frame in ctx.stack:
+                self._exit_frame(ctx, frame)
+            raise
+        if probe:
+            yield probe
+        self.exit(ctx, frame)
+        return result
+
+    # ------------------------------------------------------------------
+    # Inline markers
+    # ------------------------------------------------------------------
+
+    def probe_charge(self):
+        """What a marker yields for one probe: ``(probe_cost,)`` or ``()``.
+
+        Markers ``yield from`` it, so a free probe yields nothing — a
+        ``yield 0.0`` would be a kernel dispatch of its own and reorder
+        the ready queue.
+        """
+        return (self.probe_cost,) if self.probe_cost else ()
+
+    def enter(self, ctx, name, site=None):
+        """Open a frame for ``name`` starting at ``sim.now``; returns it.
+
+        The caller tests ``name in instrumented`` itself (once per
+        transaction attempt, not per call) and yields the entry probe
+        (:meth:`probe_charge`) *before* calling this — the probe is
+        charged outside the frame.  The site is ``site`` if
+        given, else the name of the innermost open frame, else
+        ``"<root>"``.  Counts the entry probe firing.
+        """
+        stack = ctx.stack
+        parent = stack[-1] if stack else None
         if site is None:
             site = parent.key[0] if parent is not None else "<root>"
         key = (name, site)
-
         if self.probe_cost:
             self.probe_firings += 1
-            yield self.probe_cost
         pool = self._frame_pool
         if pool:
             frame = pool.pop()
@@ -97,17 +149,18 @@ class Tracer:
             frame.parent = parent
         else:
             frame = _Frame(key, self.sim.now, parent)
-        ctx.stack.append(frame)
-        try:
-            result = yield from subgen
-        except BaseException:
-            self._exit_frame(ctx, frame)
-            raise
+        stack.append(frame)
+        return frame
+
+    def exit(self, ctx, frame):
+        """Close ``frame`` (the innermost one) and record its duration.
+
+        The caller yields the exit probe (:meth:`probe_charge`) *before*
+        calling this — inside the frame.  Counts the exit probe firing.
+        """
         if self.probe_cost:
             self.probe_firings += 1
-            yield self.probe_cost
         self._exit_frame(ctx, frame)
-        return result
 
     def _exit_frame(self, ctx, frame):
         if not ctx.stack or ctx.stack[-1] is not frame:

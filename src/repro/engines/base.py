@@ -20,8 +20,8 @@ deferred LRU updates").
 
 Robustness machinery shared by the lock-based engines:
 
-- **One retry loop.**  ``_execute`` runs ``_attempt`` (the subclass hook)
-  under the engine's :class:`~repro.faults.RetryPolicy` — exponential
+- **One retry loop.**  The worker loop runs ``_attempt`` (the subclass
+  hook) under the engine's :class:`~repro.faults.RetryPolicy` — exponential
   backoff with jitter drawn from a *dedicated* seeded stream, so retry
   activity never perturbs the engine's other draws.  Aborts and final
   failures are accounted per reason (``deadlock``/``timeout``/``shed``/
@@ -157,7 +157,7 @@ class NodeCrashReport:
 
 
 class Engine:
-    """Base engine: submission queue + N workers running ``_execute``."""
+    """Base engine: submission queue + N workers running the retry loop."""
 
     name = "abstract"
     #: Engines that implement the ``_branch_*`` hooks can act as 2PC
@@ -274,11 +274,10 @@ class Engine:
         tracer = self.tracer
         policy = self.retry_policy
         check = self.check
-        # Engines that keep the stock retry loop get it inlined here —
-        # one generator frame fewer on every resume of the run's hottest
-        # delegation chain.  The inline block below is ``_execute``'s
-        # body verbatim (the equivalence goldens pin the two together);
-        # subclasses that override ``_execute`` still get it called.
+        # The retry loop runs inline here — one generator frame fewer on
+        # every resume of the run's hottest delegation chain.  Engines
+        # that override ``_execute`` (task-concurrent VoltDB) get it
+        # called instead.
         stock_execute = type(self)._execute is Engine._execute
         while True:
             item = yield from self.queue.get()
@@ -347,45 +346,14 @@ class Engine:
             worker.current = None
 
     def _execute(self, worker, ctx, spec):
-        """Generator: run one transaction under the engine's retry policy.
+        """Generator: run one transaction wholesale (subclass hook).
 
-        Subclasses with a retryable abort path implement ``_attempt``;
-        task-concurrent engines (VoltDB) override ``_execute`` wholesale.
+        Engines with a retryable abort path implement ``_attempt`` and
+        leave this alone: the worker loop runs their attempts under the
+        engine's retry policy.  Task-concurrent engines (VoltDB), which
+        never retry, override this instead.
         """
-        tracer = self.tracer
-        policy = self.retry_policy
-        check = self.check
-        tracer.begin_transaction(ctx)
-        committed = False
-        reason = None
-        for attempt in range(policy.max_attempts):
-            if attempt:
-                ctx.attempts += 1
-                self._t_retries.inc()
-                policy.note_retry(reason or "abort")
-                yield policy.backoff(attempt, self.retry_rng)
-                if (
-                    self.txn_deadline is not None
-                    and self.sim.now - ctx.birth >= self.txn_deadline
-                ):
-                    reason = "deadline"
-                    break
-            ctx.abort_reason = None
-            if check.enabled:
-                check.begin_attempt(ctx)
-            ok = yield from self._attempt(worker, ctx, spec)
-            if ok:
-                committed = True
-                break
-            reason = ctx.abort_reason or "abort"
-            self._count_abort(reason)
-        if not committed:
-            final = reason or "abort"
-            ctx.abort_reason = final
-            policy.note_give_up(final)
-            self._count_failed(final)
-        tracer.end_transaction(ctx, committed)
-        self.observe_txn(ctx, committed)
+        raise NotImplementedError
 
     def _attempt(self, worker, ctx, spec):
         """Generator: one attempt; True on commit (subclass hook)."""

@@ -27,6 +27,12 @@ profiles name the functions Table 1 names:
           innobase_commit -> trx_commit
             log_write_up_to -> fil_flush
 
+Every attempt and every 2PC branch runs one flat statement loop
+(``_mysql_loop``) with these frames as inline tracer markers, so an
+instrumented run executes the same generator as an uninstrumented one;
+the buffer pool carries its own markers, the redo log wraps its
+``log_write_up_to`` / ``fil_flush`` generators with ``Tracer.traced``.
+
 Locks are held to commit (strict 2PL); a deadlock or lock-wait timeout
 aborts the attempt, releases everything, and retries under the base
 engine's :class:`~repro.faults.RetryPolicy` (exponential backoff with
@@ -47,6 +53,10 @@ from repro.sim.rand import LogNormal
 from repro.sim.resources import CoreSet
 from repro.storage.tables import TableCatalog
 from repro.wal.mysql_log import FlushPolicy, RedoLog, RedoLogConfig
+
+
+#: The per-connection frames above the statements; 2PC branches have none.
+_SESSION_FRAMES = ("do_command", "dispatch_command", "mysql_execute_command")
 
 
 def mysql_callgraph():
@@ -211,95 +221,45 @@ class MySQLEngine(Engine):
     # ------------------------------------------------------------------
 
     def _attempt(self, worker, ctx, spec):
-        """One attempt (returns a generator); retries run in the base loop.
+        """One attempt (returns a generator); retries run in the base loop."""
+        return self._mysql_loop(worker, ctx, spec.ops, None)
 
-        With no instrumentation active the ``do_command`` ->
-        ``dispatch_command`` levels are pure pass-throughs, so the
-        command body is returned directly — same yields, two fewer
-        generator frames on every one of the run's hottest resumes.
+    def _mysql_loop(self, worker, ctx, ops, branch):
+        """Generator: the statement loop; True on commit (or branch success).
+
+        The one body every run executes — instrumented or not, single
+        node or 2PC branch.  The call graph's frames are inline tracer
+        markers (:mod:`repro.core.tracing`) guarded by booleans computed
+        once per attempt, so an uninstrumented statement pays only those
+        tests.  The B-tree descent, the record-lock bookkeeping and the
+        CPU burst are inlined too: the kernel resumes every yield through
+        each frame of a delegation chain, and chain depth is the largest
+        wall-clock cost of a run.  The buffer pool's miss and make-young
+        paths and the lock-wait path stay calls with markers of their own.
+
+        With a ``branch`` (a 2PC participant) the loop opens no
+        ``do_command`` / ``dispatch_command`` / ``mysql_execute_command``
+        frames, runs no commit, keeps its locks on failure (the branch
+        release hook frees them) and sets ``branch.redo_bytes``.
         """
-        if not self.tracer.instrumented:
-            return self._mysql_execute_fast(worker, ctx, spec)
-        return self._traced_attempt(worker, ctx, spec)
-
-    def _traced_attempt(self, worker, ctx, spec):
-        ok = yield from self.tracer.traced(
-            ctx, "do_command", self._do_command(worker, ctx, spec)
-        )
-        return ok
-
-    def _do_command(self, worker, ctx, spec):
-        ok = yield from self.tracer.traced(
-            ctx, "dispatch_command", self._dispatch_command(worker, ctx, spec)
-        )
-        return ok
-
-    def _dispatch_command(self, worker, ctx, spec):
-        ok = yield from self.tracer.traced(
-            ctx, "mysql_execute_command", self._mysql_execute(worker, ctx, spec)
-        )
-        return ok
-
-    def _mysql_execute(self, worker, ctx, spec):
-        redo_bytes = 0
-        consume = self.cpu.consume
-        sample = self._stmt_cpu_dist.sample
-        rng = self.rng
-        catalog = self.catalog
-        traced = self.tracer.traced
-        check = self.check
-        for op in spec.ops:
-            # Parse/plan/execute CPU runs on a finite core set: near
-            # saturation, CPU queueing stretches statements and therefore
-            # lock hold times — the paper's hardware regime.
-            yield from consume(sample(rng))
-            table = catalog[op.table]
-            if op.kind == "select":
-                ok = yield from traced(
-                    ctx, "row_search_for_mysql", self._row_search(worker, ctx, op, table)
-                )
-            elif op.kind == "update":
-                ok = yield from traced(
-                    ctx, "row_upd_step", self._row_update(worker, ctx, op, table)
-                )
-            else:
-                ok = yield from traced(
-                    ctx, "row_ins", self._row_insert(worker, ctx, op, table)
-                )
-            if not ok:
-                yield from self.lockmgr.release_all_timed(ctx)
-                return False
-            redo_bytes += table.redo_bytes(op.kind)
-            if check.enabled:
-                check.record_op(ctx, op, op.lock is not None)
-        yield from self.tracer.traced(
-            ctx, "innobase_commit", self._commit(ctx, redo_bytes)
-        )
-        repl = self.replication
-        if repl is not None and redo_bytes:
-            # Lossless semisync (AFTER_SYNC): the ack wait happens with
-            # locks still held, so replication latency stretches lock
-            # hold times — a cross-layer coupling the variance tree
-            # surfaces as repl_ack_wait feeding lock waits downstream.
-            yield from repl.commit_barrier(ctx, redo_bytes)
-        yield from self.lockmgr.release_all_timed(ctx)
-        return True
-
-    def _mysql_execute_fast(self, worker, ctx, spec):
-        """Uninstrumented ``_mysql_execute`` with the hot chain flattened.
-
-        With no instrumentation active every ``traced()`` wrapper below
-        ``_mysql_execute`` is a pass-through, so the per-statement
-        delegation frames (``_row_search`` / ``_row_update`` /
-        ``_row_insert`` / ``_clust_index_insert`` / ``_lock_rec_lock``,
-        the B-tree ``search`` descent, ``fix_page``, ``CoreSet.consume``
-        and ``request_timed``) are inlined into one generator: the kernel
-        resumes every yield through each frame of the delegation chain,
-        and chain depth is the single largest wall-clock cost of a run.
-        The yield sequence and every state mutation are identical to the
-        traced chain — the equivalence goldens and differential tests pin
-        the two together.
-        """
+        tracer = self.tracer
+        charge = tracer.probe_charge()
+        instrumented = tracer.instrumented
+        enter = tracer.enter
+        leave = tracer.exit
+        session = branch is None
+        session_names = [
+            name for name in _SESSION_FRAMES if session and name in instrumented
+        ]
+        on_select = "row_search_for_mysql" in instrumented
+        on_update = "row_upd_step" in instrumented
+        on_insert = "row_ins" in instrumented
+        on_search = "btr_cur_search_to_nth_level" in instrumented
+        on_sel_lock = "sel_set_rec_lock" in instrumented
+        on_lock = "lock_rec_lock" in instrumented
+        on_clust = "row_ins_clust_index_entry_low" in instrumented
+        on_commit = "innobase_commit" in instrumented
+        on_trx = "trx_commit" in instrumented
         redo_bytes = 0
         sim = self.sim
         check = self.check
@@ -325,8 +285,16 @@ class MySQLEngine(Engine):
         WAITING = RequestStatus.WAITING
         GRANTED = RequestStatus.GRANTED
         DEADLOCK = RequestStatus.DEADLOCK
-        for op in spec.ops:
-            # CoreSet.consume(sample(rng)), inline.
+        session_frames = []
+        for name in session_names:
+            yield from charge
+            session_frames.append(enter(ctx, name))
+        ok = True
+        for op in ops:
+            # Parse/plan/execute CPU runs on a finite core set: near
+            # saturation, CPU queueing stretches statements and therefore
+            # lock hold times — the paper's hardware regime.
+            # (CoreSet.consume, inline.)
             cost = sample(rng)
             if cost > 0:
                 cpu.total_bursts += 1
@@ -343,11 +311,26 @@ class MySQLEngine(Engine):
             kind = op.kind
             key = op.key
             if kind == "select":
+                on_stmt = on_select
+                if on_stmt:
+                    yield from charge
+                    stmt_frame = enter(ctx, "row_search_for_mysql")
                 dirty = False
             else:
-                # Updates and inserts take the record lock *before* the
-                # descent (_row_update / _row_insert): request_timed +
-                # lock_rec_lock, inline.
+                if kind == "update":
+                    on_stmt = on_update
+                    stmt = "row_upd_step"
+                else:
+                    on_stmt = on_insert
+                    stmt = "row_ins"
+                if on_stmt:
+                    yield from charge
+                    stmt_frame = enter(ctx, stmt)
+                # Updates and inserts take the record lock (site B)
+                # before the descent: request_timed + lock_rec_lock.
+                if on_lock:
+                    yield from charge
+                    lock_frame = enter(ctx, "lock_rec_lock")
                 obj_id = table.lock_id(key)
                 if bookkeeping:
                     obj = objects_get(obj_id)
@@ -364,224 +347,199 @@ class MySQLEngine(Engine):
                     yield bk_cost
                     mutex.release()
                 request = lockmgr.request(ctx, obj_id, LockMode.X)
+                if request.status is WAITING:
+                    yield from self._lock_wait(ctx, request, "B")
                 status = request.status
-                if status is WAITING:
-                    yield from lockmgr.wait(request)
-                    status = request.status
                 if status is not GRANTED:
-                    ctx.abort_reason = (
-                        "deadlock" if status is DEADLOCK else "timeout"
-                    )
-                    yield from self.lockmgr.release_all_timed(ctx)
-                    return False
+                    ok = False
+                    ctx.abort_reason = "deadlock" if status is DEADLOCK else "timeout"
+                if on_lock:
+                    yield from charge
+                    leave(ctx, lock_frame)
                 dirty = True
-                if kind != "update":
+                if ok and kind == "insert":
                     table.inserts += 1
-            # BTreeIndex.search, inline: one buffer-pool access per
-            # interior level plus the leaf, with fix_page's hit protocol
-            # flattened (miss / make-young delegate to the pool).  The
-            # descent-path cache of ``interior_pages`` and the slot math
-            # of ``leaf_page`` are inlined too — both recompute the same
-            # leaf slot.
-            index_obj = table.index
-            level_cost = index_obj.level_cpu_cost
-            slot = (key % index_obj.n_keys) // index_obj.keys_per_leaf
-            path = index_obj._full_path_cache.get(slot)
-            if path is None:
-                path = index_obj._full_path_cache[slot] = (
-                    index_obj.interior_pages(key)
-                    + ((index_obj.name, "leaf", slot),)
-                )
-            last = len(path) - 1
-            for i, page_id in enumerate(path):
-                dirty_here = dirty and i == last
-                yield level_cost
-                while True:
-                    page = pages_get(page_id)
-                    if page is None:
-                        pool.misses += 1
-                        page = yield from pool._read_in(ctx, page_id)
+                    if on_clust:
+                        yield from charge
+                        clust_frame = enter(ctx, "row_ins_clust_index_entry_low")
+            if ok:
+                # BTreeIndex.search, inline: one buffer-pool access per
+                # interior level plus the leaf, with fix_page's hit
+                # protocol flattened (miss / make-young call the pool).
+                # The descent-path cache of ``interior_pages`` and the
+                # slot math of ``leaf_page`` are inlined too — both
+                # recompute the same leaf slot.
+                if on_search:
+                    yield from charge
+                    search_frame = enter(ctx, "btr_cur_search_to_nth_level")
+                index_obj = table.index
+                level_cost = index_obj.level_cpu_cost
+                slot = (key % index_obj.n_keys) // index_obj.keys_per_leaf
+                path = index_obj._full_path_cache.get(slot)
+                if path is None:
+                    path = index_obj._full_path_cache[slot] = (
+                        index_obj.interior_pages(key)
+                        + ((index_obj.name, "leaf", slot),)
+                    )
+                last = len(path) - 1
+                for i, page_id in enumerate(path):
+                    dirty_here = dirty and i == last
+                    yield level_cost
+                    while True:
+                        page = pages_get(page_id)
+                        if page is None:
+                            pool.misses += 1
+                            page = yield from pool._read_in(ctx, page_id)
+                            if dirty_here:
+                                page.dirty = True
+                            break
+                        pool.hits += 1
+                        yield hit_cost
+                        if pages_get(page_id) is not page:
+                            # Evicted while paused: take the miss path.
+                            continue
                         if dirty_here:
                             page.dirty = True
-                        break
-                    pool.hits += 1
-                    yield hit_cost
-                    if pages_get(page_id) is not page:
-                        # Evicted while paused: take the miss path.
-                        continue
-                    if dirty_here:
-                        page.dirty = True
-                    if page_id in lru._old:
-                        promote = True
-                    else:
-                        young = lru._young
-                        if page_id not in young:
-                            raise KeyError("page %r not in LRU" % (page_id,))
-                        promote = (lru._clock - lru._stamp.get(page_id, 0)) > (
-                            lru.young_reorder_depth * len(young)
-                        )
-                    if promote:
-                        yield from pool._make_young(ctx, page_id, backlog)
-                    break
-            if kind == "select":
-                yield row_cpu
-                if op.lock is not None:
-                    # sel_set_rec_lock -> lock_rec_lock, inline.
-                    mode = LockMode.X if op.lock == "X" else LockMode.S
-                    obj_id = table.lock_id(key)
-                    if bookkeeping:
-                        obj = objects_get(obj_id)
-                        entries = (
-                            0
-                            if obj is None
-                            else len(obj.granted) + len(obj.waiting)
-                        )
-                        if mutex.holder is None:
-                            mutex.holder = sim.current
-                            mutex.total_acquisitions += 1
+                        if page_id in lru._old:
+                            promote = True
                         else:
-                            yield from mutex.acquire()
-                        bk_cost = bk_base + bk_per_entry * entries * scan_frac
-                        lockmgr.bookkeeping_time += bk_cost
-                        yield bk_cost
-                        mutex.release()
-                    request = lockmgr.request(ctx, obj_id, mode)
-                    status = request.status
-                    if status is WAITING:
-                        yield from lockmgr.wait(request)
+                            young = lru._young
+                            if page_id not in young:
+                                raise KeyError("page %r not in LRU" % (page_id,))
+                            promote = (lru._clock - lru._stamp.get(page_id, 0)) > (
+                                lru.young_reorder_depth * len(young)
+                            )
+                        if promote:
+                            yield from pool._make_young(ctx, page_id, backlog)
+                        break
+                if on_search:
+                    yield from charge
+                    leave(ctx, search_frame)
+                if kind == "select":
+                    yield row_cpu
+                    if op.lock is not None:
+                        # sel_set_rec_lock -> lock_rec_lock (site A).
+                        if on_sel_lock:
+                            yield from charge
+                            sel_frame = enter(ctx, "sel_set_rec_lock")
+                        if on_lock:
+                            yield from charge
+                            lock_frame = enter(ctx, "lock_rec_lock")
+                        mode = LockMode.X if op.lock == "X" else LockMode.S
+                        obj_id = table.lock_id(key)
+                        if bookkeeping:
+                            obj = objects_get(obj_id)
+                            entries = (
+                                0
+                                if obj is None
+                                else len(obj.granted) + len(obj.waiting)
+                            )
+                            if mutex.holder is None:
+                                mutex.holder = sim.current
+                                mutex.total_acquisitions += 1
+                            else:
+                                yield from mutex.acquire()
+                            bk_cost = bk_base + bk_per_entry * entries * scan_frac
+                            lockmgr.bookkeeping_time += bk_cost
+                            yield bk_cost
+                            mutex.release()
+                        request = lockmgr.request(ctx, obj_id, mode)
+                        if request.status is WAITING:
+                            yield from self._lock_wait(ctx, request, "A")
                         status = request.status
-                    if status is not GRANTED:
-                        ctx.abort_reason = (
-                            "deadlock" if status is DEADLOCK else "timeout"
-                        )
-                        yield from self.lockmgr.release_all_timed(ctx)
-                        return False
-            elif kind == "update":
-                yield row_cpu
-            else:
-                # BTreeIndex.insert_body, inline.
-                draw = rng.random()
-                if draw < index_obj.reorg_probability:
-                    yield index_obj.reorg_cpu_cost
-                elif draw < index_obj.reorg_probability + index_obj.split_probability:
-                    yield index_obj.split_cpu_cost
+                        if status is not GRANTED:
+                            ok = False
+                            ctx.abort_reason = (
+                                "deadlock" if status is DEADLOCK else "timeout"
+                            )
+                        if on_lock:
+                            yield from charge
+                            leave(ctx, lock_frame)
+                        if on_sel_lock:
+                            yield from charge
+                            leave(ctx, sel_frame)
+                elif kind == "update":
+                    yield row_cpu
                 else:
-                    yield index_obj.insert_cpu_cost
+                    # BTreeIndex.insert_body, inline.
+                    draw = rng.random()
+                    if draw < index_obj.reorg_probability:
+                        yield index_obj.reorg_cpu_cost
+                    elif draw < (
+                        index_obj.reorg_probability + index_obj.split_probability
+                    ):
+                        yield index_obj.split_cpu_cost
+                    else:
+                        yield index_obj.insert_cpu_cost
+                    if on_clust:
+                        yield from charge
+                        leave(ctx, clust_frame)
+            if on_stmt:
+                yield from charge
+                leave(ctx, stmt_frame)
+            if not ok:
+                break
             redo_bytes += table.redo_bytes(kind)
             if check.enabled:
                 check.record_op(ctx, op, op.lock is not None)
-        # innobase_commit (_commit), inline.
-        yield self.config.commit_cpu
-        if redo_bytes:
-            yield from self.redo.commit(ctx, redo_bytes)
-        repl = self.replication
-        if repl is not None and redo_bytes:
-            yield from repl.commit_barrier(ctx, redo_bytes)
-        yield from self.lockmgr.release_all_timed(ctx)
-        return True
-
-    # -- statement implementations --------------------------------------
-
-    def _row_search(self, worker, ctx, op, table):
-        yield from self.tracer.traced(
-            ctx,
-            "btr_cur_search_to_nth_level",
-            table.index.search(
-                ctx, op.key, self.pool, dirty=False, backlog=worker.llu_backlog
-            ),
-        )
-        yield self.config.row_cpu
-        if op.lock is not None:
-            ok = yield from self.tracer.traced(
-                ctx, "sel_set_rec_lock", self._sel_set_rec_lock(ctx, op, table)
-            )
+        if not session:
+            if ok:
+                branch.redo_bytes = redo_bytes
             return ok
-        return True
-
-    def _sel_set_rec_lock(self, ctx, op, table):
-        mode = LockMode.X if op.lock == "X" else LockMode.S
-        ok = yield from self.tracer.traced(
-            ctx,
-            "lock_rec_lock",
-            self._lock_rec_lock(ctx, table.lock_id(op.key), mode, "A"),
-        )
+        if ok:
+            if on_commit:
+                yield from charge
+                commit_frame = enter(ctx, "innobase_commit")
+            yield self.config.commit_cpu
+            if redo_bytes:
+                if on_trx:
+                    yield from charge
+                    trx_frame = enter(ctx, "trx_commit")
+                yield from self.redo.commit(ctx, redo_bytes)
+                if on_trx:
+                    yield from charge
+                    leave(ctx, trx_frame)
+            if on_commit:
+                yield from charge
+                leave(ctx, commit_frame)
+            repl = self.replication
+            if repl is not None and redo_bytes:
+                # Lossless semisync (AFTER_SYNC): the ack wait happens
+                # with locks still held, so replication latency stretches
+                # lock hold times — a cross-layer coupling the variance
+                # tree surfaces as repl_ack_wait feeding lock waits
+                # downstream.
+                yield from repl.commit_barrier(ctx, redo_bytes)
+        yield from lockmgr.release_all_timed(ctx)
+        for frame in reversed(session_frames):
+            yield from charge
+            leave(ctx, frame)
         return ok
 
-    def _row_update(self, worker, ctx, op, table):
-        ok = yield from self.tracer.traced(
-            ctx,
-            "lock_rec_lock",
-            self._lock_rec_lock(ctx, table.lock_id(op.key), LockMode.X, "B"),
-        )
-        if not ok:
-            return False
-        yield from self.tracer.traced(
-            ctx,
-            "btr_cur_search_to_nth_level",
-            table.index.search(
-                ctx, op.key, self.pool, dirty=True, backlog=worker.llu_backlog
-            ),
-        )
-        yield self.config.row_cpu
-        return True
+    def _lock_wait(self, ctx, request, site):
+        """Generator: ``lock_wait_suspend_thread`` -> ``os_event_wait``.
 
-    def _row_insert(self, worker, ctx, op, table):
-        ok = yield from self.tracer.traced(
-            ctx,
-            "lock_rec_lock",
-            self._lock_rec_lock(ctx, table.lock_id(op.key), LockMode.X, "B"),
-        )
-        if not ok:
-            return False
-        table.inserts += 1
-        yield from self.tracer.traced(
-            ctx,
-            "row_ins_clust_index_entry_low",
-            self._clust_index_insert(worker, ctx, op, table),
-        )
-        return True
-
-    def _clust_index_insert(self, worker, ctx, op, table):
-        yield from self.tracer.traced(
-            ctx,
-            "btr_cur_search_to_nth_level",
-            table.index.search(
-                ctx, op.key, self.pool, dirty=True, backlog=worker.llu_backlog
-            ),
-        )
-        yield from table.index.insert_body(self.rng)
-
-    def _lock_rec_lock(self, ctx, obj_id, mode, site):
-        """Generator: take a record lock; False means abort this attempt."""
-        request = yield from self.lockmgr.request_timed(ctx, obj_id, mode)
-        if request.status is RequestStatus.WAITING:
-            yield from self.tracer.traced(
-                ctx,
-                "lock_wait_suspend_thread",
-                self._lock_wait_suspend(ctx, request, site),
-                site=site,
-            )
-        if request.status is RequestStatus.GRANTED:
-            return True
-        ctx.abort_reason = (
-            "deadlock" if request.status is RequestStatus.DEADLOCK else "timeout"
-        )
-        return False
-
-    def _lock_wait_suspend(self, ctx, request, site):
-        yield from self.tracer.traced(
-            ctx, "os_event_wait", self.lockmgr.wait(request), site=site
-        )
-
-    # -- commit ----------------------------------------------------------
-
-    def _commit(self, ctx, redo_bytes):
-        yield self.config.commit_cpu
-        if redo_bytes == 0:
-            return  # read-only transaction: nothing to make durable
-        yield from self.tracer.traced(
-            ctx, "trx_commit", self.redo.commit(ctx, redo_bytes)
-        )
+        The rare slow path of ``lock_rec_lock``; ``site`` is ``"A"`` for
+        locking selects and ``"B"`` for updates and inserts, so the two
+        waits show up as separate factors.
+        """
+        tracer = self.tracer
+        charge = tracer.probe_charge()
+        on_suspend = "lock_wait_suspend_thread" in tracer.instrumented
+        on_wait = "os_event_wait" in tracer.instrumented
+        if on_suspend:
+            yield from charge
+            suspend_frame = tracer.enter(ctx, "lock_wait_suspend_thread", site)
+        if on_wait:
+            yield from charge
+            wait_frame = tracer.enter(ctx, "os_event_wait", site)
+        yield from self.lockmgr.wait(request)
+        if on_wait:
+            yield from charge
+            tracer.exit(ctx, wait_frame)
+        if on_suspend:
+            yield from charge
+            tracer.exit(ctx, suspend_frame)
 
     # ------------------------------------------------------------------
     # 2PC participant branches (XA)
@@ -591,38 +549,9 @@ class MySQLEngine(Engine):
     XA_RECORD_BYTES = 64
 
     def _branch_execute(self, worker, ctx, branch):
-        """One participant slice: the statement bodies of
-        ``_mysql_execute``, minus commit and minus lock release — locks
-        stay held until the global decision arrives."""
-        redo_bytes = 0
-        consume = self.cpu.consume
-        sample = self._stmt_cpu_dist.sample
-        rng = self.rng
-        catalog = self.catalog
-        traced = self.tracer.traced
-        check = self.check
-        for op in branch.spec.ops:
-            yield from consume(sample(rng))
-            table = catalog[op.table]
-            if op.kind == "select":
-                ok = yield from traced(
-                    ctx, "row_search_for_mysql", self._row_search(worker, ctx, op, table)
-                )
-            elif op.kind == "update":
-                ok = yield from traced(
-                    ctx, "row_upd_step", self._row_update(worker, ctx, op, table)
-                )
-            else:
-                ok = yield from traced(
-                    ctx, "row_ins", self._row_insert(worker, ctx, op, table)
-                )
-            if not ok:
-                return False
-            redo_bytes += table.redo_bytes(op.kind)
-            if check.enabled:
-                check.record_op(ctx, op, op.lock is not None)
-        branch.redo_bytes = redo_bytes
-        return True
+        """One participant slice: the statement loop in branch mode —
+        no commit, and locks stay held until the global decision."""
+        return self._mysql_loop(worker, ctx, branch.spec.ops, branch)
 
     def _branch_prepare(self, ctx, branch):
         # XA PREPARE: the branch's redo plus a prepare record must be on

@@ -23,6 +23,11 @@ Call graph::
             LWLockAcquireOrWait / XLogWrite
           ReleasePredicateLocks
 
+Every attempt and every 2PC branch runs one flat statement loop
+(``_postgres_loop``) with these frames as inline tracer markers; the WAL
+writer wraps ``LWLockAcquireOrWait`` / ``XLogWrite`` with
+``Tracer.traced``.
+
 ``parallel_wal=True`` swaps the single WAL stream for the paper's
 two-disk parallel-logging scheme (Section 6.2).
 """
@@ -38,6 +43,10 @@ from repro.sim.disk import Disk, DiskConfig
 from repro.sim.rand import LogNormal
 from repro.storage.tables import TableCatalog
 from repro.wal.pg_wal import ParallelWAL, WALConfig, WALWriter
+
+
+#: The per-connection frames above the statements; 2PC branches have none.
+_SESSION_FRAMES = ("exec_simple_query", "PortalRun")
 
 
 def postgres_callgraph():
@@ -156,38 +165,42 @@ class PostgresEngine(Engine):
     # ------------------------------------------------------------------
 
     def _attempt(self, worker, ctx, spec):
-        """One attempt; retries run in the base engine's loop.
+        """One attempt (returns a generator); retries run in the base loop."""
+        return self._postgres_loop(ctx, spec.ops, None)
 
-        With no probes instrumented every ``tracer.traced`` call in the
-        delegation chain below is a passthrough, so the whole chain can
-        run in one generator frame: ``_postgres_execute_fast`` performs
-        the identical yields, RNG draws and state mutations without the
-        per-statement frame churn.  The traced chain is authoritative —
-        the fast path must mirror it exactly (the fast-vs-traced digest
-        tests pin this byte for byte).
+    def _postgres_loop(self, ctx, ops, branch):
+        """Generator: the statement loop; True on commit (or branch success).
+
+        The one body every run executes, instrumented or not: the call
+        graph's frames are inline tracer markers (:mod:`repro.core.tracing`)
+        guarded by booleans computed once per attempt.  WAL commit and the
+        replication barrier stay ``yield from`` — shared subsystems with
+        their own state, not per-statement overhead.
+
+        With a ``branch`` (a 2PC participant) the loop opens no
+        ``exec_simple_query`` / ``PortalRun`` frames, runs no commit,
+        keeps its locks on failure and sets ``branch.redo_bytes`` and
+        ``branch.predicate_locks``.
         """
-        if not self.tracer.instrumented:
-            return self._postgres_execute_fast(ctx, spec)
-        return self._traced_attempt(worker, ctx, spec)
-
-    def _traced_attempt(self, worker, ctx, spec):
-        """Generator: the instrumented ``exec_simple_query`` chain."""
-        ok = yield from self.tracer.traced(
-            ctx, "exec_simple_query", self._exec_query(ctx, spec)
-        )
-        return ok
-
-    def _postgres_execute_fast(self, ctx, spec):
-        """The uninstrumented statement loop in a single generator frame.
-
-        Flattens ``_exec_query -> _portal_run -> _executor_run`` /
-        ``_commit_transaction`` with all ``tracer.traced`` passthroughs
-        removed.  Yield sequence, RNG draw order and lock-manager calls
-        are identical to the traced chain; only Python-level frame and
-        call overhead differs.  WAL commit and the replication barrier
-        stay as ``yield from`` — they are shared subsystems with their
-        own internal state, not per-statement overhead.
-        """
+        tracer = self.tracer
+        charge = tracer.probe_charge()
+        instrumented = tracer.instrumented
+        enter = tracer.enter
+        leave = tracer.exit
+        session = branch is None
+        session_names = [
+            name for name in _SESSION_FRAMES if session and name in instrumented
+        ]
+        on_executor = "ExecutorRun" in instrumented
+        on_fetch = "index_fetch" in instrumented
+        on_predicate = "PredicateLockTuple" in instrumented
+        on_heap = "heap_lock_tuple" in instrumented
+        on_acquire = "LockAcquireExtended" in instrumented
+        on_sleep = "ProcSleep" in instrumented
+        on_commit = "CommitTransaction" in instrumented
+        on_record = "RecordTransactionCommit" in instrumented
+        on_flush = "XLogFlush" in instrumented
+        on_release = "ReleasePredicateLocks" in instrumented
         config = self.config
         statement_cpu = config.statement_cpu
         predicate_lock_cpu = config.predicate_lock_cpu
@@ -199,162 +212,128 @@ class PostgresEngine(Engine):
         check = self.check
         mode_s = LockMode.S
         mode_x = LockMode.X
-        waiting = RequestStatus.WAITING
-        granted = RequestStatus.GRANTED
-        deadlock = RequestStatus.DEADLOCK
-
+        WAITING = RequestStatus.WAITING
+        GRANTED = RequestStatus.GRANTED
+        DEADLOCK = RequestStatus.DEADLOCK
+        session_frames = []
+        for name in session_names:
+            yield from charge
+            session_frames.append(enter(ctx, name))
         predicate_locks = 0
         redo_bytes = 0
-        for op in spec.ops:
+        ok = True
+        for op in ops:
             table = tables[op.table]
-            # _executor_run: per-statement CPU then the index descent.
-            yield statement_cpu
-            yield sample(rng)
             lock = op.lock
             kind = op.kind
+            if on_executor:
+                yield from charge
+                executor_frame = enter(ctx, "ExecutorRun")
+            # Per-statement CPU, then the index descent.
+            yield statement_cpu
+            if on_fetch:
+                yield from charge
+                fetch_frame = enter(ctx, "index_fetch")
+            yield sample(rng)
+            if on_fetch:
+                yield from charge
+                leave(ctx, fetch_frame)
             if kind == "select":
                 # Serializable reads register SIREAD predicate locks.
                 predicate_locks += 1
+                if on_predicate:
+                    yield from charge
+                    predicate_frame = enter(ctx, "PredicateLockTuple")
                 yield predicate_lock_cpu
+                if on_predicate:
+                    yield from charge
+                    leave(ctx, predicate_frame)
             if lock is not None or kind in ("update", "insert"):
+                # heap_lock_tuple -> LockAcquireExtended [-> ProcSleep].
+                if on_heap:
+                    yield from charge
+                    heap_frame = enter(ctx, "heap_lock_tuple")
+                if on_acquire:
+                    yield from charge
+                    acquire_frame = enter(ctx, "LockAcquireExtended")
                 request = lock_request(
                     ctx, table.lock_id(op.key), mode_s if lock == "S" else mode_x
                 )
-                status = request.status
-                if status is waiting:
+                if request.status is WAITING:
+                    if on_sleep:
+                        yield from charge
+                        sleep_frame = enter(ctx, "ProcSleep")
                     yield from lockmgr.wait(request)
-                    status = request.status
-                if status is not granted:
-                    ctx.abort_reason = (
-                        "deadlock" if status is deadlock else "timeout"
-                    )
-                    lockmgr.release_all(ctx)
-                    return False
+                    if on_sleep:
+                        yield from charge
+                        leave(ctx, sleep_frame)
+                status = request.status
+                if status is not GRANTED:
+                    ok = False
+                    ctx.abort_reason = "deadlock" if status is DEADLOCK else "timeout"
+                if on_acquire:
+                    yield from charge
+                    leave(ctx, acquire_frame)
+                if on_heap:
+                    yield from charge
+                    leave(ctx, heap_frame)
+            if on_executor:
+                yield from charge
+                leave(ctx, executor_frame)
+            if not ok:
+                break
             redo_bytes += table.redo_bytes(kind)
             if check.enabled:
                 check.record_op(ctx, op, lock is not None)
-        # _commit_transaction, inlined.
-        yield config.commit_cpu
-        if redo_bytes:
-            yield from self.wal.commit(ctx, redo_bytes)
-        if predicate_locks:
-            yield predicate_locks * config.predicate_release_cpu
-            conflict_prob = config.predicate_conflict_prob
-            conflict_cpu = config.predicate_conflict_cpu
-            for _ in range(predicate_locks):
-                if rng.random() < conflict_prob:
-                    yield conflict_cpu
-        repl = self.replication
-        if repl is not None and redo_bytes:
-            yield from repl.commit_barrier(ctx, redo_bytes)
+        if not session:
+            if ok:
+                branch.redo_bytes = redo_bytes
+                branch.predicate_locks = predicate_locks
+            return ok
+        if ok:
+            # CommitTransaction -> RecordTransactionCommit -> XLogFlush,
+            # then ReleasePredicateLocks.
+            if on_commit:
+                yield from charge
+                commit_frame = enter(ctx, "CommitTransaction")
+            yield config.commit_cpu
+            if redo_bytes:
+                # Read-only transactions write no commit record and never
+                # touch the WALWriteLock.
+                if on_record:
+                    yield from charge
+                    record_frame = enter(ctx, "RecordTransactionCommit")
+                if on_flush:
+                    yield from charge
+                    flush_frame = enter(ctx, "XLogFlush")
+                yield from self.wal.commit(ctx, redo_bytes)
+                if on_flush:
+                    yield from charge
+                    leave(ctx, flush_frame)
+                if on_record:
+                    yield from charge
+                    leave(ctx, record_frame)
+            if on_release:
+                yield from charge
+                release_frame = enter(ctx, "ReleasePredicateLocks")
+            yield from self._release_predicate_locks(predicate_locks)
+            if on_release:
+                yield from charge
+                leave(ctx, release_frame)
+            if on_commit:
+                yield from charge
+                leave(ctx, commit_frame)
+            repl = self.replication
+            if repl is not None and redo_bytes:
+                # Synchronous-replication semantics: the ack wait happens
+                # with locks still held (PostgreSQL releases at true commit
+                # return), so replication latency stretches lock hold times.
+                yield from repl.commit_barrier(ctx, redo_bytes)
         lockmgr.release_all(ctx)
-        return True
-
-    def _exec_query(self, ctx, spec):
-        ok = yield from self.tracer.traced(
-            ctx, "PortalRun", self._portal_run(ctx, spec)
-        )
+        for frame in reversed(session_frames):
+            yield from charge
+            leave(ctx, frame)
         return ok
-
-    def _portal_run(self, ctx, spec):
-        predicate_locks = 0
-        redo_bytes = 0
-        check = self.check
-        for op in spec.ops:
-            table = self.catalog[op.table]
-            ok, locks = yield from self.tracer.traced(
-                ctx, "ExecutorRun", self._executor_run(ctx, op, table)
-            )
-            if not ok:
-                self.lockmgr.release_all(ctx)
-                return False
-            predicate_locks += locks
-            redo_bytes += table.redo_bytes(op.kind)
-            if check.enabled:
-                check.record_op(ctx, op, op.lock is not None)
-        yield from self.tracer.traced(
-            ctx,
-            "CommitTransaction",
-            self._commit_transaction(ctx, redo_bytes, predicate_locks),
-        )
-        repl = self.replication
-        if repl is not None and redo_bytes:
-            # Synchronous-replication semantics: the ack wait happens
-            # with locks still held (PostgreSQL releases at true commit
-            # return), so replication latency stretches lock hold times.
-            yield from repl.commit_barrier(ctx, redo_bytes)
-        self.lockmgr.release_all(ctx)
-        return True
-
-    def _executor_run(self, ctx, op, table):
-        """Generator: one statement.  Evaluates to (ok, predicate_locks)."""
-        yield self.config.statement_cpu
-        yield from self.tracer.traced(ctx, "index_fetch", self._index_fetch())
-        locks = 0
-        if op.kind == "select":
-            # Serializable reads register SIREAD predicate locks.
-            locks = 1
-            yield from self.tracer.traced(
-                ctx, "PredicateLockTuple", self._predicate_lock()
-            )
-        if op.lock is not None or op.kind in ("update", "insert"):
-            mode = LockMode.S if op.lock == "S" else LockMode.X
-            ok = yield from self.tracer.traced(
-                ctx, "heap_lock_tuple", self._heap_lock_tuple(ctx, op, table, mode)
-            )
-            if not ok:
-                return False, locks
-        return True, locks
-
-    def _index_fetch(self):
-        yield self._index_cpu.sample(self.rng)
-
-    def _predicate_lock(self):
-        yield self.config.predicate_lock_cpu
-
-    def _heap_lock_tuple(self, ctx, op, table, mode):
-        ok = yield from self.tracer.traced(
-            ctx, "LockAcquireExtended", self._lock_acquire(ctx, table.lock_id(op.key), mode)
-        )
-        return ok
-
-    def _lock_acquire(self, ctx, obj_id, mode):
-        request = self.lockmgr.request(ctx, obj_id, mode)
-        if request.status is RequestStatus.WAITING:
-            yield from self.tracer.traced(
-                ctx, "ProcSleep", self.lockmgr.wait(request)
-            )
-        if request.status is RequestStatus.GRANTED:
-            return True
-        ctx.abort_reason = (
-            "deadlock" if request.status is RequestStatus.DEADLOCK else "timeout"
-        )
-        return False
-
-    # ------------------------------------------------------------------
-    # Commit
-    # ------------------------------------------------------------------
-
-    def _commit_transaction(self, ctx, redo_bytes, predicate_locks):
-        yield self.config.commit_cpu
-        if redo_bytes:
-            # Read-only transactions write no commit record and never
-            # touch the WALWriteLock.
-            yield from self.tracer.traced(
-                ctx,
-                "RecordTransactionCommit",
-                self._record_commit(ctx, redo_bytes),
-            )
-        yield from self.tracer.traced(
-            ctx,
-            "ReleasePredicateLocks",
-            self._release_predicate_locks(predicate_locks),
-        )
-
-    def _record_commit(self, ctx, redo_bytes):
-        yield from self.tracer.traced(
-            ctx, "XLogFlush", self.wal.commit(ctx, redo_bytes)
-        )
 
     def _release_predicate_locks(self, count):
         """Release SIREAD locks; cost varies with conflicts discovered."""
@@ -373,25 +352,9 @@ class PostgresEngine(Engine):
     TWOPHASE_RECORD_BYTES = 64
 
     def _branch_execute(self, worker, ctx, branch):
-        """One participant slice: ``_portal_run``'s statement loop minus
-        commit and minus lock release."""
-        predicate_locks = 0
-        redo_bytes = 0
-        check = self.check
-        for op in branch.spec.ops:
-            table = self.catalog[op.table]
-            ok, locks = yield from self.tracer.traced(
-                ctx, "ExecutorRun", self._executor_run(ctx, op, table)
-            )
-            if not ok:
-                return False
-            predicate_locks += locks
-            redo_bytes += table.redo_bytes(op.kind)
-            if check.enabled:
-                check.record_op(ctx, op, op.lock is not None)
-        branch.redo_bytes = redo_bytes
-        branch.predicate_locks = predicate_locks
-        return True
+        """One participant slice: the statement loop in branch mode —
+        no commit, and locks stay held until the global decision."""
+        return self._postgres_loop(ctx, branch.spec.ops, branch)
 
     def _branch_prepare(self, ctx, branch):
         # PREPARE TRANSACTION: flush the branch's WAL plus the two-phase

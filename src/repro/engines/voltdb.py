@@ -101,47 +101,19 @@ class VoltDBEngine(Engine):
             self._service_dists[n_ops] = dist
         return dist
 
-    def _service_time(self, spec):
-        return self._service_dist(len(spec.ops)).sample(self.rng)
-
     def _execute(self, worker, ctx, spec):
-        """One stored-procedure invocation; retries never happen here.
+        """Generator: one stored-procedure invocation; retries never happen.
 
-        With no probes instrumented every ``tracer.record`` call in the
-        traced body is a no-op, so the partition-serial execution can
-        run in ``_voltdb_execute_fast`` — same yields, same RNG draws,
-        same bookkeeping, minus the dead record calls and key tuples.
+        The queue wait and the service split are attributed after the
+        fact with ``tracer.record`` (no frame is live across the task
+        queue); each record is a no-op for an uninstrumented name.
         """
-        if not self.tracer.instrumented:
-            return self._voltdb_execute_fast(worker, ctx, spec)
-        return self._voltdb_execute_traced(worker, ctx, spec)
-
-    def _voltdb_execute_fast(self, worker, ctx, spec):
-        """The uninstrumented invocation in a single generator frame."""
-        queue_wait = self.sim.now - ctx.birth
-        self.queue_waits.append(queue_wait)
-        self._t_queue_wait.observe(queue_wait)
-        ctx.begin_interval()
-        service = self._service_dist(len(spec.ops)).sample(self.rng)
-        init_time = service * self.config.init_fraction
-        yield init_time
-        yield service - init_time
-        ctx.end_interval()
-        check = self.check
-        if check.enabled:
-            check.begin_attempt(ctx)
-            for op in spec.ops:
-                check.record_op(ctx, op, False)
-        self.tracer.end_transaction(ctx, committed=True)
-        self.observe_txn(ctx, committed=True)
-
-    def _voltdb_execute_traced(self, worker, ctx, spec):
         tracer = self.tracer
         queue_wait = self.sim.now - ctx.birth
         self.queue_waits.append(queue_wait)
         self._t_queue_wait.observe(queue_wait)
         ctx.begin_interval()
-        service = self._service_time(spec)
+        service = self._service_dist(len(spec.ops)).sample(self.rng)
         init_time = service * self.config.init_fraction
         run_time = service - init_time
         yield init_time

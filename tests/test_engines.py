@@ -199,3 +199,46 @@ class TestCallGraphs:
         graph = postgres_callgraph()
         assert "LWLockAcquireOrWait" in graph
         assert "ReleasePredicateLocks" in graph
+
+
+class TestUnknownProbeNames:
+    """A typo in ``instrumented`` fails the run instead of profiling nothing."""
+
+    @staticmethod
+    def _config(engine, **overrides):
+        return ExperimentConfig(
+            engine=engine,
+            workload="tpcc",
+            workload_kwargs={"warehouses": 2},
+            seed=3,
+            n_txns=10,
+            warmup_fraction=0.0,
+            **overrides,
+        )
+
+    def test_mysql_lists_every_unknown_name(self):
+        config = self._config(
+            "mysql", instrumented=("do_command", "row_search", "lock_wait")
+        )
+        with pytest.raises(ValueError, match="lock_wait, row_search$"):
+            run_experiment(config)
+
+    def test_postgres_rejects_a_mysql_name(self):
+        config = self._config("postgres", instrumented=("ExecutorRun", "fil_flush"))
+        with pytest.raises(ValueError, match="postgres call graph: fil_flush$"):
+            run_experiment(config)
+
+    def test_voltdb_rejects_an_unknown_name(self):
+        config = self._config("voltdb", instrumented=("transaction", "queue_wait"))
+        with pytest.raises(ValueError, match="voltdb call graph: queue_wait$"):
+            run_experiment(config)
+
+    def test_layer_frames_stay_allowed(self):
+        config = self._config(
+            "mysql",
+            instrumented=(
+                "do_command", "dist_prepare_wait", "repl_ack_wait",
+                "recovery_replay",
+            ),
+        )
+        assert len(run_experiment(config).log) == 10

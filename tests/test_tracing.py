@@ -216,3 +216,75 @@ def test_end_transaction_records_to_log(sim, graph):
     sim.run()
     assert len(tracer.log) == 1
     assert not tracer.log.traces[0].committed
+
+
+def test_markers_record_like_the_wrapper(sim, graph):
+    tracer = make_tracer(sim, graph, instrumented={"root", "child"}, probe_cost=1.0)
+    ctx = TransactionContext(sim, 1, "t")
+    charge = tracer.probe_charge()
+
+    def proc():
+        yield from charge
+        root = tracer.enter(ctx, "root")
+        yield Timeout(2.0)
+        yield from charge
+        child = tracer.enter(ctx, "child", site="s")
+        yield Timeout(5.0)
+        yield from charge
+        tracer.exit(ctx, child)
+        yield from charge
+        tracer.exit(ctx, root)
+
+    sim.spawn(proc())
+    sim.run()
+    assert sim.now == 11.0  # 7 body + 4 probes
+    assert tracer.probe_firings == 4
+    # Entry probes are outside their frame, exit probes inside it.
+    assert ctx.durations == {("root", "<root>"): 10.0, ("child", "s"): 6.0}
+    assert ctx.under == {("root", "<root>"): {("child", "s"): 6.0}}
+
+
+def test_free_probes_yield_nothing(sim, graph):
+    assert make_tracer(sim, graph, {"root"}).probe_charge() == ()
+    assert make_tracer(sim, graph, {"root"}, probe_cost=0.5).probe_charge() == (0.5,)
+
+
+def test_marker_site_defaults_to_innermost_frame(sim, graph):
+    tracer = make_tracer(sim, graph, instrumented={"root", "child"})
+    ctx = TransactionContext(sim, 1, "t")
+    root = tracer.enter(ctx, "root")
+    child = tracer.enter(ctx, "child")
+    assert child.key == ("child", "root")
+    tracer.exit(ctx, child)
+    tracer.exit(ctx, root)
+    assert ctx.stack == []
+
+
+def test_out_of_order_exit_raises(sim, graph):
+    tracer = make_tracer(sim, graph, instrumented={"root", "child"})
+    ctx = TransactionContext(sim, 1, "t")
+    root = tracer.enter(ctx, "root")
+    tracer.enter(ctx, "child")
+    with pytest.raises(RuntimeError, match="exited out of order"):
+        tracer.exit(ctx, root)
+
+
+def test_traced_frame_cleared_by_a_crash_is_dropped_on_close(sim, graph):
+    tracer = make_tracer(sim, graph, instrumented={"root"})
+    ctx = TransactionContext(sim, 1, "t")
+    gen = tracer.traced(ctx, "root", body(10.0))
+    next(gen)  # parked inside the body, frame open
+    assert len(ctx.stack) == 1
+    del ctx.stack[:]  # what Engine._crash_txn does to a killed session
+    gen.close()  # finalizing the dead worker must not raise
+    assert ctx.durations == {}
+
+
+def test_traced_frame_still_open_exits_on_exception(sim, graph):
+    tracer = make_tracer(sim, graph, instrumented={"root"})
+    ctx = TransactionContext(sim, 1, "t")
+    gen = tracer.traced(ctx, "root", body(10.0))
+    next(gen)
+    gen.close()
+    assert ctx.stack == []
+    assert ctx.durations == {("root", "<root>"): 0.0}
