@@ -21,6 +21,6 @@ the mutex) make hold times highly variable.
 """
 
 from repro.bufferpool.lru import LRUList
-from repro.bufferpool.pool import BufferPool, BufferPoolConfig, Page
+from repro.bufferpool.pool import BufferPool, BufferPoolConfig
 
-__all__ = ["BufferPool", "BufferPoolConfig", "LRUList", "Page"]
+__all__ = ["BufferPool", "BufferPoolConfig", "LRUList"]

@@ -19,23 +19,18 @@ Table 1: ``buf_page_make_young`` -> ``buf_pool_mutex_enter`` ->
 ``buf_LRU_make_block_young``; the miss path is ``buf_read_page`` ->
 ``buf_pool_mutex_enter`` / ``buf_LRU_get_free_block``.  Each path is one
 flat generator carrying those frames as inline tracer markers.
+
+The pool's state is plain data: the page table maps each resident page
+id to a frame number, and the dirty pages are one set of resident ids.
+Prewarmed pages share frame 0; every read-in takes the next number of a
+counter that never resets, so a process paused on a page can tell
+whether the frame it saw is still the resident one.
 """
+
+from itertools import count
 
 from repro.bufferpool.lru import LRUList
 from repro.sim.resources import Mutex, SpinLock
-
-
-class Page:
-    """A buffered page frame."""
-
-    __slots__ = ("page_id", "dirty")
-
-    def __init__(self, page_id):
-        self.page_id = page_id
-        self.dirty = False
-
-    def __repr__(self):
-        return "<Page %r%s>" % (self.page_id, " dirty" if self.dirty else "")
 
 
 class BufferPoolConfig:
@@ -75,7 +70,10 @@ class BufferPool:
         self.disk = disk
         self.config = config or BufferPoolConfig()
         self.name = name
+        # page id -> frame number; the dirty subset of its keys.
         self._pages = {}
+        self._dirty = set()
+        self._frames = count(1)
         self._lru = LRUList(
             self.config.capacity_pages,
             old_ratio=self.config.old_ratio,
@@ -151,6 +149,7 @@ class BufferPool:
         and parked waiters are dropped — they are dead processes.
         """
         self._pages.clear()
+        self._dirty.clear()
         self._lru = LRUList(
             self.config.capacity_pages,
             old_ratio=self.config.old_ratio,
@@ -171,12 +170,12 @@ class BufferPool:
 
         An empty pool takes :meth:`LRUList.fill`, which shares its list
         orders between pools prewarmed from the same page-id tuple; the
-        frames are always this pool's own.
+        page table and dirty set are always this pool's own.  Every
+        prewarmed page gets frame 0.
         """
         pages = self._pages
         if not pages:
-            fresh = self._lru.fill(page_ids)
-            pages.update(zip(fresh, map(Page, fresh)))
+            pages.update(dict.fromkeys(self._lru.fill(page_ids), 0))
             return len(pages)
         capacity = self.config.capacity_pages
         n = len(pages)
@@ -187,7 +186,7 @@ class BufferPool:
                 break
             if page_id in pages:
                 continue
-            pages[page_id] = Page(page_id)
+            pages[page_id] = 0
             n += 1
             append(page_id)
         self._lru.insert_old_many(fresh)
@@ -196,21 +195,22 @@ class BufferPool:
     def fix_page(self, ctx, page_id, dirty=False, backlog=None):
         """Generator: pin ``page_id``, reading it in on a miss.
 
-        ``backlog`` is the calling worker's deferred-LRU-update list; it is
-        only consulted when the pool runs with Lazy LRU Update.
+        Evaluates to the frame number the access ended on.  ``backlog``
+        is the calling worker's deferred-LRU-update list; it is only
+        consulted when the pool runs with Lazy LRU Update.
         """
         pages_get = self._pages.get
         while True:
-            page = pages_get(page_id)
-            if page is None:
+            frame = pages_get(page_id)
+            if frame is None:
                 break
             self.hits += 1
             yield self._hit_cost
-            if pages_get(page_id) is not page:
+            if pages_get(page_id) != frame:
                 # Evicted (or replaced) while we paused: take the miss path.
                 continue
             if dirty:
-                page.dirty = True
+                self._dirty.add(page_id)
             # Inlined ``self._lru.needs_make_young(page_id)`` — the hit
             # path runs once per page access and the call overhead alone
             # shows up in run wall time.
@@ -226,20 +226,14 @@ class BufferPool:
                 )
             if promote:
                 yield from self._make_young(ctx, page_id, backlog)
-            return page
+            return frame
         self.misses += 1
-        page = yield from self._read_in(ctx, page_id)
-        if dirty:
-            page.dirty = True
-        return page
-
-    def flush_page(self, page_id):
-        """Generator: write a dirty page back (used by checkpointing tests)."""
-        page = self._pages.get(page_id)
-        if page is None or not page.dirty:
-            return
-        yield from self.disk.write(self.config.page_bytes)
-        page.dirty = False
+        frame = yield from self._read_in(ctx, page_id)
+        # The frame may have been evicted during the read: then there is
+        # nothing left to dirty.
+        if dirty and pages_get(page_id) == frame:
+            self._dirty.add(page_id)
+        return frame
 
     # ------------------------------------------------------------------
     # Make-young path (buf_page_make_young)
@@ -316,7 +310,7 @@ class BufferPool:
     # ------------------------------------------------------------------
 
     def _read_in(self, ctx, page_id):
-        """Generator: ``buf_read_page``; evaluates to the page read in.
+        """Generator: ``buf_read_page``; evaluates to the page's frame number.
 
         Markers for ``buf_pool_mutex_enter`` (site ``read_page``) and
         ``buf_LRU_get_free_block``, which finds a free frame while
@@ -345,8 +339,8 @@ class BufferPool:
         config = self.config
         pages = self._pages
         # Somebody else may have read the page in while we waited.
-        page = pages.get(page_id)
-        if page is not None:
+        frame = pages.get(page_id)
+        if frame is not None:
             self._t_hold_hist.observe(self.sim.now - held_since)
             self.mutex.release()
             yield config.hit_cost
@@ -358,11 +352,13 @@ class BufferPool:
             lru = self._lru
             victim_id = lru.victim() if len(lru) >= lru.capacity else None
             if victim_id is not None:
-                victim = pages.pop(victim_id)
+                del pages[victim_id]
                 lru.remove(victim_id)
                 self.evictions += 1
                 self._t_evictions.inc()
-                if victim.dirty:
+                dirty = self._dirty
+                if victim_id in dirty:
+                    dirty.remove(victim_id)
                     self.dirty_writebacks += 1
                     self._t_writebacks.inc()
                     yield from self.disk.write(config.page_bytes)
@@ -371,8 +367,7 @@ class BufferPool:
                 tracer.exit(ctx, free_frame)
             # Reserve the slot so concurrent missers don't double-read,
             # then read the page contents outside the mutex.
-            page = Page(page_id)
-            pages[page_id] = page
+            frame = pages[page_id] = next(self._frames)
             self._lru.insert_old(page_id)
             self._t_hold_hist.observe(self.sim.now - held_since)
             self._t_resident.set(len(pages))
@@ -381,7 +376,7 @@ class BufferPool:
         if on_read:
             yield from charge
             tracer.exit(ctx, read_frame)
-        return page
+        return frame
 
     def __repr__(self):
         return "<BufferPool %s pages=%d/%d hit_ratio=%.2f>" % (

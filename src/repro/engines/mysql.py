@@ -270,6 +270,7 @@ class MySQLEngine(Engine):
         tables = self.catalog._tables
         pool = self.pool
         pages_get = pool._pages.get
+        dirty_pages = pool._dirty
         hit_cost = pool._hit_cost
         lru = pool._lru
         backlog = worker.llu_backlog
@@ -379,27 +380,27 @@ class MySQLEngine(Engine):
                 if path is None:
                     path = index_obj._full_path_cache[slot] = (
                         index_obj.interior_pages(key)
-                        + ((index_obj.name, "leaf", slot),)
+                        + (index_obj.leaf_page(key),)
                     )
                 last = len(path) - 1
                 for i, page_id in enumerate(path):
                     dirty_here = dirty and i == last
                     yield level_cost
                     while True:
-                        page = pages_get(page_id)
-                        if page is None:
+                        frame = pages_get(page_id)
+                        if frame is None:
                             pool.misses += 1
-                            page = yield from pool._read_in(ctx, page_id)
-                            if dirty_here:
-                                page.dirty = True
+                            frame = yield from pool._read_in(ctx, page_id)
+                            if dirty_here and pages_get(page_id) == frame:
+                                dirty_pages.add(page_id)
                             break
                         pool.hits += 1
                         yield hit_cost
-                        if pages_get(page_id) is not page:
+                        if pages_get(page_id) != frame:
                             # Evicted while paused: take the miss path.
                             continue
                         if dirty_here:
-                            page.dirty = True
+                            dirty_pages.add(page_id)
                         if page_id in lru._old:
                             promote = True
                         else:

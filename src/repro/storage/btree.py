@@ -30,9 +30,13 @@ class InsertOutcome(enum.Enum):
 class BTreeIndex:
     """Index over ``n_keys`` with the given fanout.
 
-    ``page_of(key)`` returns the page id a search for ``key`` lands on;
-    interior levels are represented by a per-level page id so that the
-    (few) interior pages stay hot in the buffer pool.
+    Page ids are ints, laid out from ``first_page`` (0 until a
+    :class:`~repro.storage.tables.TableCatalog` places the index in its
+    range) in :meth:`iter_pages` order: the interior levels from the
+    widest (just above the leaves) to the one-page root, then the
+    leaves.  ``leaf_page(key)`` returns the page a search for ``key``
+    lands on; the (few) interior pages are shared by many keys, so they
+    stay hot in the buffer pool.
     """
 
     def __init__(
@@ -75,20 +79,35 @@ class BTreeIndex:
         self.level_widths = tuple(widths)
         # Depth counts the levels *above* the leaf level.
         self.depth = len(widths)
+        self.place(0)
+
+    # ------------------------------------------------------------------
+    # Page mapping
+    # ------------------------------------------------------------------
+
+    def place(self, first_page):
+        """Number this index's pages from ``first_page`` upwards.
+
+        Called by the catalog, before any lookup, to give each table its
+        own contiguous range; it resets the descent caches.
+        """
+        self.first_page = first_page
+        bases = []
+        for width in self.level_widths:
+            bases.append(first_page)
+            first_page += width
+        # First page id of each interior level, widest level first.
+        self._level_bases = tuple(bases)
+        self._leaf_base = first_page
         # slot -> tuple of interior page ids (see interior_pages).
         self._path_cache = {}
         # slot -> full descent path (interior pages + leaf), for callers
         # that walk the whole path at once.  Bounded by n_leaves.
         self._full_path_cache = {}
 
-    # ------------------------------------------------------------------
-    # Page mapping
-    # ------------------------------------------------------------------
-
     def leaf_page(self, key):
         """Page id of the leaf holding ``key``."""
-        leaf = (key % self.n_keys) // self.keys_per_leaf
-        return (self.name, "leaf", leaf)
+        return self._leaf_base + (key % self.n_keys) // self.keys_per_leaf
 
     def interior_pages(self, key):
         """Page ids of the interior nodes a search for ``key`` descends.
@@ -103,19 +122,15 @@ class BTreeIndex:
         if pages is None:
             path = []
             level_slot = slot
-            for level in range(self.depth, 0, -1):
+            for base in self._level_bases:
                 level_slot = level_slot // self.fanout
-                path.append((self.name, "int%d" % level, level_slot))
+                path.append(base + level_slot)
             pages = self._path_cache[slot] = tuple(path)
         return pages
 
     def iter_pages(self):
         """All page ids, interior levels first (they should stay hottest)."""
-        for level, width in zip(range(self.depth, 0, -1), self.level_widths):
-            for slot in range(width):
-                yield (self.name, "int%d" % level, slot)
-        for leaf in range(self.n_leaves):
-            yield (self.name, "leaf", leaf)
+        return iter(range(self.first_page, self.first_page + self.total_pages))
 
     @property
     def total_pages(self):

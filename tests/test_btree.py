@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.storage.btree import BTreeIndex, InsertOutcome
+from repro.storage.tables import Table, TableCatalog
 
 
 def test_depth_grows_with_keys():
@@ -70,17 +71,60 @@ def _boundary_key_counts(fanout, keys_per_leaf, max_keys=100_000):
     return sorted(counts)
 
 
-@pytest.mark.parametrize(
-    "fanout,keys_per_leaf", [(2, 1), (3, 2), (7, 3), (10, 10), (100, 64)]
-)
+BOUNDARY_SHAPES = [(2, 1), (3, 2), (7, 3), (10, 10), (100, 64)]
+
+
+def _sample_keys(n_keys, keys_per_leaf):
+    """First and last key, and the keys either side of each leaf edge."""
+    keys = {0, n_keys - 1}
+    for leaf in (1, 2, n_keys // keys_per_leaf):
+        edge = leaf * keys_per_leaf
+        keys.update(k for k in (edge - 1, edge) if 0 <= k < n_keys)
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("fanout,keys_per_leaf", BOUNDARY_SHAPES)
 def test_page_ids_match_float_width_formula(fanout, keys_per_leaf):
+    """The int layout numbers the float-width oracle's pages in order.
+
+    Each oracle page ``(name, "int<L>" or "leaf", slot)`` gets its
+    position as its id, and a descent's ids are the oracle pages a
+    search visits: ``int<depth>`` (the widest level) down to ``int1``
+    (the root), then the leaf.
+    """
     for n_keys in _boundary_key_counts(fanout, keys_per_leaf):
         index = BTreeIndex("t", n_keys, fanout=fanout, keys_per_leaf=keys_per_leaf)
         pages, depth = _float_width_pages(index)
-        assert list(index.iter_pages()) == pages, n_keys
+        assert list(index.iter_pages()) == list(range(len(pages))), n_keys
         assert index.depth == depth
         assert index.total_pages == len(pages)
         assert len(index.level_widths) == depth
+        position = {page: i for i, page in enumerate(pages)}
+        for key in _sample_keys(n_keys, keys_per_leaf):
+            slot = key // keys_per_leaf
+            expected = tuple(
+                position[("t", "int%d" % (depth - i), slot // fanout ** (i + 1))]
+                for i in range(depth)
+            )
+            assert index.interior_pages(key) == expected, (n_keys, key)
+            assert index.leaf_page(key) == position[("t", "leaf", slot)]
+
+
+@pytest.mark.parametrize("fanout,keys_per_leaf", BOUNDARY_SHAPES)
+def test_descent_ids_stay_in_their_tables_range(fanout, keys_per_leaf):
+    sizes = _boundary_key_counts(fanout, keys_per_leaf)
+    catalog = TableCatalog()
+    for i, n_keys in enumerate(sizes):
+        catalog.add(
+            Table("t%d" % i, n_keys, fanout=fanout, keys_per_leaf=keys_per_leaf)
+        )
+    for table in catalog:
+        index = table.index
+        own = range(index.first_page, index.first_page + index.total_pages)
+        assert list(index.iter_pages()) == list(own)
+        for key in _sample_keys(index.n_keys, keys_per_leaf):
+            for page_id in index.interior_pages(key) + (index.leaf_page(key),):
+                assert type(page_id) is int and page_id in own, (table, key)
 
 
 def test_search_pages_are_subset_of_iter_pages():

@@ -1,5 +1,6 @@
 """Buffer pool: LRU behaviour, miss path, Lazy LRU Update, prewarm."""
 
+import gc
 import importlib.util
 import os
 
@@ -116,12 +117,12 @@ def run_fix(sim, pool, ctx, page_id, dirty=False, backlog=None):
     result = {}
 
     def proc():
-        page = yield from pool.fix_page(ctx, page_id, dirty=dirty, backlog=backlog)
-        result["page"] = page
+        frame = yield from pool.fix_page(ctx, page_id, dirty=dirty, backlog=backlog)
+        result["frame"] = frame
 
     sim.spawn(proc())
     sim.run()
-    return result["page"]
+    return result["frame"]
 
 
 class TestBufferPool:
@@ -264,8 +265,8 @@ class TestEvictionRace:
         outcome = {}
 
         def hitter():
-            page = yield from pool.fix_page(ctx, "p")
-            outcome["page"] = page
+            frame = yield from pool.fix_page(ctx, "p")
+            outcome["frame"] = frame
 
         def evictor():
             # While the hitter pays its 5us hit cost, storm the pool so
@@ -278,10 +279,38 @@ class TestEvictionRace:
         sim.spawn(hitter())
         sim.spawn(evictor())
         sim.run()
-        # The hitter still got a page object for "p" — via a re-read,
-        # not a stale promotion of the evicted frame.
-        assert outcome["page"].page_id == "p"
+        # The hitter ends on a fresh read-in frame for "p", not on the
+        # evicted prewarm frame (0) promoted as a ghost.
+        assert outcome["frame"] != 0
+        assert pool._pages["p"] == outcome["frame"]
         assert pool.misses >= 3  # r1, r2, and the retried "p"
+
+    def test_reader_does_not_dirty_a_frame_re_read_during_its_read(self, sim):
+        """A dirtying reader whose frame is evicted and read in again
+        while its own disk read is in flight leaves the new frame clean,
+        as setting ``dirty`` on the detached frame object always did."""
+        pool, _disk = make_pool(sim, capacity_pages=2)
+        frames = {}
+
+        def fix(tag, page_id, start, dirty=False):
+            ctx = TransactionContext(sim, int(start) + 1, "t")
+            yield Timeout(start)
+            frames[tag] = yield from pool.fix_page(ctx, page_id, dirty=dirty)
+
+        # The writer reserves "p" and starts its read; meanwhile "r1"
+        # fills the pool, "r2" evicts "p" and "p" is read in again.
+        sim.spawn(fix("writer", "p", 0.0, dirty=True))
+        sim.spawn(fix("r1", "r1", 1.0))
+        sim.spawn(fix("r2", "r2", 2.0))
+        sim.spawn(fix("again", "p", 3.0))
+        sim.run()
+        assert frames["writer"] != frames["again"] == pool._pages["p"]
+        assert pool._dirty == set()
+        ctx = TransactionContext(sim, 9, "t")
+        for i in range(4):
+            run_fix(sim, pool, ctx, "s%d" % i)
+        assert not pool.contains("p")
+        assert pool.dirty_writebacks == 0
 
 
 class TestInsertOldMany:
@@ -429,15 +458,32 @@ class TestPrewarmImage:
         for pool in pools:
             pool.prewarm(ids)
         a, b = pools
-        for page_id in ids:
-            assert a._pages[page_id] is not b._pages[page_id]
-        a._pages[ids[-1]].dirty = True
-        assert not b._pages[ids[-1]].dirty
+        assert a._pages is not b._pages and a._dirty is not b._dirty
         assert a._lru._young is not b._lru._young
         assert a._lru._old is not b._lru._old
-        a._lru.make_young(ids[-1])
+        untouched = self._state(b)
+        page_id = a._lru.old_pages[0]
+        run_fix(sim, a, TransactionContext(sim, 1, "t"), page_id, dirty=True)
+        assert a._dirty == {page_id} and a.make_youngs == 1
+        assert b._dirty == set()
+        assert self._state(b) == untouched
         assert a._lru._young != b._lru._young
-        assert b._lru._stamp[ids[-1]] == 0
+        assert b._lru._stamp[page_id] == 0
+
+    def test_prewarm_allocates_no_per_page_gc_objects(self, sim):
+        ids = tuple(range(50_000))
+        pool = make_pool(sim, capacity_pages=len(ids))[0]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            pool.prewarm(ids)
+            after = len(gc.get_objects())
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(pool._pages) == len(ids)
+        assert after - before < 100
 
     @pytest.mark.parametrize(
         "change",

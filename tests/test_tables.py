@@ -47,6 +47,18 @@ def test_iter_pages_covers_catalog():
     assert len(set(pages)) == len(pages)
 
 
+def test_page_ids_are_distinct_ints_covering_the_catalog():
+    catalog = TableCatalog()
+    catalog.add(Table("a", 5_000))
+    catalog.add(Table("b", 7_000, fanout=7, keys_per_leaf=3))
+    catalog.add(Table("c", 1))
+    ids = catalog.page_ids()
+    assert all(type(page_id) is int for page_id in ids)
+    assert sorted(ids) == list(range(catalog.total_pages))
+    per_table = [list(table.index.iter_pages()) for table in catalog]
+    assert [page for pages in per_table for page in pages] == list(ids)
+
+
 def test_page_ids_shared_by_equal_shapes():
     schema = {"a": 5_000, "b": 7_000}
     first = TableCatalog.from_schema(schema)
