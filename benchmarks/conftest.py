@@ -42,8 +42,9 @@ def cached_run(config):
     — the same identity the executor's on-disk artifact cache uses.
     The previous hand-rolled structural key (``_stable``/``_config_key``
     here) is gone; the schema covers every field by construction.
-    Benchmarks get the live :class:`RunResult` (several poke at
-    ``.history`` or ``.sim``), so the cache stays in-memory.
+    Benchmarks get the :class:`RunResult`: the run's artifact plus the
+    live ``sim``, ``engine`` and ``log`` (several poke at ``.sim``), so
+    the cache stays in-memory.
     """
     key = config.config_digest()
     if key not in _CACHE:

@@ -82,9 +82,8 @@ def test_dist_wait_share_grows_with_cross_shard_fraction():
     rows = []
     for prob in REMOTE_SWEEP:
         result = run_experiment(cluster_config(prob))
-        rows.append(
-            (prob, result.engine.cross_shard_txns, dist_time_share(result), result)
-        )
+        cross = result.cluster_stats["cross_shard_txns"]
+        rows.append((prob, cross, dist_time_share(result), result))
     print()
     for prob, cross, share, _result in rows:
         print(

@@ -18,7 +18,7 @@ TXN_TYPES = ("NewOrder", "Payment", "OrderStatus", "Delivery", "StockLevel")
 def collect_age_remaining(result):
     """(age, remaining) samples at every post-wait lock grant."""
     end_by_id = {
-        t.txn_id: t.end for t in result.log.traces if t.committed
+        t.txn_id: t.end for t in result.all_traces if t.committed
     }
     per_type = {t: ([], []) for t in TXN_TYPES}
     per_type["ALL"] = ([], [])

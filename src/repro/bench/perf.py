@@ -83,7 +83,7 @@ def _timed_run(config, simulator_cls=None):
 
 def _measurement(config, walls, result, repeats):
     wall = min(walls)
-    dispatches = result.sim.dispatch_count
+    dispatches = result.dispatch_count
     committed = len(result.traces)
     return {
         "engine": config.engine,

@@ -12,8 +12,9 @@ builds the derived config and hands it to an
 :class:`~repro.core.profiler.NaiveProfiler`'s budget groups — fan out
 across a process pool with ``jobs > 1`` while the refinement loop's
 inherently sequential iterations run inline.  The adapter keeps
-:class:`~repro.exec.artifact.RunArtifact` objects (plain data), not
-live ``RunResult`` graphs, so long profiling sessions stay light.
+:class:`~repro.exec.artifact.RunArtifact` objects: the same read API
+as a ``RunResult`` without its live simulator graph, so long profiling
+sessions stay light.
 """
 
 from repro.core.profiler import ProfiledSystem

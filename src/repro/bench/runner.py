@@ -4,7 +4,9 @@ An :class:`ExperimentConfig` names the engine, the workload (with
 keyword overrides), the offered load, and any engine configuration; the
 runner assembles the simulator, random streams, tracer, engine and
 driver, runs the virtual clock until every transaction completes, and
-returns a :class:`RunResult`.
+returns a :class:`RunResult`: the run's
+:class:`~repro.exec.artifact.RunArtifact` (which defines every read
+accessor) plus the live ``sim``, ``engine`` and ``log``.
 
 Methodology matches Section 7.1: constant offered throughput (500 tps
 default), a warmup fraction discarded from the front of the run (cold
@@ -21,7 +23,6 @@ that, so single-node runs stay byte-identical to the pre-cluster tree.
 
 import gc
 import inspect
-from array import array
 
 from repro.check.recorder import HistoryRecorder
 from repro.cluster import Cluster, Node, Topology, make_router
@@ -34,14 +35,9 @@ from repro.engines.voltdb import VoltDBConfig, VoltDBEngine, voltdb_callgraph
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.rand import Streams
+from repro.exec.artifact import RunArtifact
 from repro.exec.schema import register_config
-from repro.sim.stats import summarize
-from repro.telemetry import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    snapshot_node_slice,
-    snapshot_rollup,
-)
+from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 from repro.workloads import WORKLOADS, make_workload
 from repro.workloads.driver import LoadDriver
 
@@ -165,172 +161,72 @@ class ExperimentConfig:
             or self.replicas > 0
         )
 
-class RunResult:
-    """Everything one run produced."""
+class RunResult(RunArtifact):
+    """A finished run: its :class:`RunArtifact` plus the live handles.
+
+    The artifact fields are extracted once, here: the metrics snapshot,
+    the event log, the accounting and the oracle verdict.  Every read
+    accessor is the artifact's.  ``sim``, ``engine`` and ``log`` keep
+    the whole simulator object graph for interactive analysis;
+    :meth:`RunArtifact.from_result` drops them.
+    """
+
+    __slots__ = ("sim", "engine", "log")
 
     def __init__(self, config, log, engine, sim, warmup_count):
-        self.config = config
-        self.log = log
-        self.engine = engine
         self.sim = sim
-        self.warmup_count = warmup_count
+        self.engine = engine
+        self.log = log
+        faults = sim.faults
+        fault_counts = {}
+        if faults.enabled:
+            fault_counts = {
+                "io_errors": faults.io_errors,
+                "worker_crashes": faults.worker_crashes,
+            }
+            # Only plans that schedule node crashes report the key, so
+            # every pre-recovery fault golden stays byte-identical.
+            if faults.plan.node_crash_times:
+                fault_counts["node_crashes"] = faults.node_crashes
+        recorder = sim.check
+        history = outcome_counts = txn_outcomes = check_violations = None
+        if recorder.enabled:
+            from repro.check.oracles import check_all
 
-    @property
-    def metrics(self):
-        """The run's :class:`MetricsRegistry` (null when disabled)."""
-        return self.sim.telemetry
-
-    def metrics_snapshot(self):
-        """The metrics report for this run: plain JSON-serialisable dicts.
-
-        Empty when the run was configured with ``telemetry=False``.
-        """
-        return self.metrics.snapshot()
-
-    def event_log_jsonl(self):
-        """The structured event log as JSON lines (empty when disabled)."""
-        return self.metrics.events.to_jsonl()
-
-    def node_metrics_snapshot(self, node_id):
-        """One node's slice of the metrics, with the label stripped.
-
-        Clustered runs label every node-side instrument ``{node=<id>}``;
-        this filters the full snapshot down to one node and returns it
-        keyed by the bare instrument name, so per-node reports read
-        exactly like a single-node ``metrics_snapshot()``.
-        """
-        return snapshot_node_slice(self.metrics_snapshot(), node_id)
-
-    def metrics_rollup(self):
-        """Cluster-wide totals: labeled instruments merged by base name.
-
-        Counters and gauge values/maxima sum across nodes; histograms
-        merge exactly for ``count``/``sum``/``mean``/``min``/``max``
-        (quantiles do not compose across sketches, so merged histograms
-        omit them).  Unlabeled instruments pass through untouched.
-        """
-        return snapshot_rollup(self.metrics_snapshot())
-
-    @property
-    def traces(self):
-        """Committed, post-warmup traces (the measurement set)."""
-        return [
-            t
-            for t in self.log.traces
-            if t.committed and t.txn_id >= self.warmup_count
-        ]
-
-    @property
-    def latencies(self):
-        # Packed doubles, not a list of boxed floats: a large run's
-        # latency vector is 3-4x smaller and feeds numpy zero-copy.
-        return array("d", (t.latency for t in self.traces))
-
-    def latencies_of(self, txn_type):
-        return array(
-            "d", (t.latency for t in self.traces if t.txn_type == txn_type)
+            history = recorder.history
+            outcome_counts = dict(recorder.outcome_counts)
+            txn_outcomes = list(recorder.outcomes)
+            check_violations = check_all(history)
+        cluster_stats = None
+        if hasattr(engine, "single_home_txns"):
+            cluster_stats = {
+                "single_home_txns": engine.single_home_txns,
+                "cross_shard_txns": engine.cross_shard_txns,
+            }
+        super().__init__(
+            config_data=config.to_dict(),
+            config_digest=config.config_digest(),
+            warmup_count=warmup_count,
+            final_clock=sim.now,
+            dispatch_count=sim.dispatch_count,
+            all_traces=list(log.traces),
+            metrics=sim.telemetry.snapshot(),
+            event_jsonl=sim.telemetry.events.to_jsonl(),
+            abort_counts=dict(engine.aborts_by_reason),
+            failed_counts=dict(engine.failed_by_reason),
+            failed_txns=engine.failed_txns,
+            fault_counts=fault_counts,
+            outcome_counts=outcome_counts,
+            txn_outcomes=txn_outcomes,
+            check_violations=check_violations,
+            history=history,
+            cluster_stats=cluster_stats,
         )
-
-    @property
-    def summary(self):
-        return summarize(self.latencies)
-
-    # -- robustness accounting -----------------------------------------
-
-    @property
-    def abort_counts(self):
-        """Per-reason per-attempt abort counts (``deadlock``/``timeout``...)."""
-        return dict(self.engine.aborts_by_reason)
-
-    @property
-    def failed_counts(self):
-        """Per-reason counts of transactions that never committed."""
-        return dict(self.engine.failed_by_reason)
-
-    @property
-    def failed_txns(self):
-        """Transactions that never committed, across all reasons."""
-        return self.engine.failed_txns
-
-    @property
-    def shed_txns(self):
-        """Arrivals rejected by the bounded submission queue."""
-        return self.engine.failed_by_reason.get("shed", 0)
-
-    @property
-    def fault_counts(self):
-        """Injected-fault totals for the run (empty dict when no plan)."""
-        faults = self.sim.faults
-        if not faults.enabled:
-            return {}
-        counts = {
-            "io_errors": faults.io_errors,
-            "worker_crashes": faults.worker_crashes,
-        }
-        # Only plans that schedule node crashes report the key, so every
-        # pre-recovery fault golden stays byte-identical.
-        if faults.plan.node_crash_times:
-            counts["node_crashes"] = faults.node_crashes
-        return counts
-
-    # -- correctness checking (repro.check) ----------------------------
-
-    @property
-    def history(self):
-        """The recorded :class:`~repro.check.History` (None when off)."""
-        recorder = self.sim.check
-        return recorder.history if recorder.enabled else None
-
-    def check_report(self):
-        """Run every oracle over the history; ``[]`` means clean.
-
-        ``None`` when the run was configured with ``check=False``.
-        """
-        history = self.history
-        if history is None:
-            return None
-        from repro.check.oracles import check_all
-
-        return check_all(history)
-
-    @property
-    def txn_outcomes(self):
-        """Bounded per-transaction ``(txn_id, type, outcome)`` listing.
-
-        Recorded behind the ``check`` flag; ``None`` when checking was
-        off.  ``outcome`` is ``"committed"`` or the failure reason
-        (``"shed"`` / ``"deadline"`` / ``"deadlock"`` ...).
-        """
-        recorder = self.sim.check
-        return list(recorder.outcomes) if recorder.enabled else None
-
-    @property
-    def outcome_counts(self):
-        """Exact per-outcome totals (unbounded; ``None`` when check off)."""
-        recorder = self.sim.check
-        return dict(recorder.outcome_counts) if recorder.enabled else None
-
-    @property
-    def throughput_tps(self):
-        """Completed transactions per second of virtual time."""
-        traces = self.traces
-        if not traces:
-            return 0.0
-        span = max(t.end for t in traces) - min(t.birth for t in traces)
-        if span <= 0:
-            return 0.0
-        return len(traces) / (span / 1_000_000.0)
-
-    def artifact(self):
-        """The picklable plain-data extract of this run (repro.exec)."""
-        from repro.exec.artifact import RunArtifact
-
-        return RunArtifact.from_result(self)
 
     def __repr__(self):
         return "<RunResult %s/%s n=%d>" % (
-            self.config.engine,
-            self.config.workload,
+            self.config_data["engine"],
+            self.config_data["workload"],
             len(self.traces),
         )
 

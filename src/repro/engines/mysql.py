@@ -364,7 +364,7 @@ class MySQLEngine(Engine):
                         yield from charge
                         clust_frame = enter(ctx, "row_ins_clust_index_entry_low")
             if ok:
-                # BTreeIndex.search, inline: one buffer-pool access per
+                # The B-tree descent: one buffer-pool access per
                 # interior level plus the leaf, with fix_page's hit
                 # protocol flattened (miss / make-young call the pool).
                 # The descent-path cache of ``interior_pages`` and the

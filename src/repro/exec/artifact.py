@@ -1,22 +1,22 @@
-"""Picklable run artifacts: everything a sweep needs, nothing live.
+"""Run artifacts: the one read API for a finished run.
 
-A :class:`~repro.bench.runner.RunResult` is deliberately heavyweight —
-it pins the whole simulator object graph (kernel, engines, lock tables,
-buffer pools) so interactive analysis can poke at anything.  That graph
-cannot cross a process boundary, and holding one per run makes a
-500-run sweep balloon.  :class:`RunArtifact` is the extract: plain data
-only (transaction traces, the metrics snapshot, the recorded history,
-per-reason accounting, the check report), picklable by construction,
-and carrying the canonical config payload + content digest it was
-produced from.
+:class:`RunArtifact` is plain data only -- transaction traces, the
+metrics snapshot, the recorded history, per-reason accounting, the
+check report -- picklable by construction, and carrying the canonical
+config payload + content digest it was produced from.  Every read
+accessor (``summary``, ``latencies``, ``throughput_tps``,
+``metrics_snapshot()``, ``check_report()``, ``outcome_counts`` and
+friends) is defined here, once.
 
-Everything the multi-run drivers read off a ``RunResult`` is mirrored
-here under the same names — ``summary``, ``latencies``,
-``throughput_tps``, ``metrics_snapshot()``, ``check_report()``,
-``outcome_counts`` and friends — so sweeps, the profiler adapter and
-the fuzzer work identically on either.  ``digest()`` equals
-``repro.bench.digest.run_digest`` of the originating result, which is
-how the parallel-equals-serial tests pin byte-identity.
+A :class:`~repro.bench.runner.RunResult` *is* a ``RunArtifact``: its
+constructor fills these fields when the run finishes, and it adds only
+the live handles ``sim``, ``engine`` and ``log``, which pin the whole
+simulator object graph.  That graph cannot cross a process boundary,
+and holding one per run makes a 500-run sweep balloon, so
+:meth:`RunArtifact.from_result` copies the fields and drops the
+handles.  ``digest()`` equals ``repro.bench.digest.run_digest`` of the
+originating result, which is how the parallel-equals-serial tests pin
+byte-identity.
 """
 
 from array import array
@@ -41,10 +41,15 @@ class RunArtifact:
         "all_traces",
         "metrics",
         "event_jsonl",
+        # Per-reason per-attempt aborts, and transactions that never
+        # committed (per reason and in total).
         "abort_counts",
         "failed_counts",
         "failed_txns",
+        # Injected-fault totals; empty when the run had no fault plan.
         "fault_counts",
+        # Exact per-outcome totals and the bounded (txn_id, type,
+        # outcome) listing; None when the run had check=False.
         "outcome_counts",
         "txn_outcomes",
         "check_violations",
@@ -54,7 +59,7 @@ class RunArtifact:
 
     def __init__(self, **fields):
         self.schema_version = ARTIFACT_SCHEMA_VERSION
-        for name in self.__slots__:
+        for name in RunArtifact.__slots__:
             if name == "schema_version":
                 continue
             setattr(self, name, fields.pop(name))
@@ -63,36 +68,15 @@ class RunArtifact:
 
     @classmethod
     def from_result(cls, result):
-        """Extract the picklable artifact from a finished run."""
-        config = result.config
-        engine = result.engine
-        cluster_stats = None
-        if hasattr(engine, "single_home_txns"):
-            cluster_stats = {
-                "single_home_txns": engine.single_home_txns,
-                "cross_shard_txns": engine.cross_shard_txns,
-            }
-        history = result.history
-        check_violations = result.check_report()
-        return cls(
-            config_data=config.to_dict(),
-            config_digest=config.config_digest(),
-            warmup_count=result.warmup_count,
-            final_clock=result.sim.now,
-            dispatch_count=result.sim.dispatch_count,
-            all_traces=list(result.log.traces),
-            metrics=result.metrics_snapshot(),
-            event_jsonl=result.event_log_jsonl(),
-            abort_counts=result.abort_counts,
-            failed_counts=result.failed_counts,
-            failed_txns=result.failed_txns,
-            fault_counts=result.fault_counts,
-            outcome_counts=result.outcome_counts,
-            txn_outcomes=result.txn_outcomes,
-            check_violations=check_violations,
-            history=history,
-            cluster_stats=cluster_stats,
-        )
+        """The plain-data artifact of a finished run, without live handles.
+
+        A field copy: the metrics snapshot and the oracle verdict were
+        computed once, when the run finished, and are shared here.
+        """
+        artifact = object.__new__(RunArtifact)
+        for name in RunArtifact.__slots__:
+            setattr(artifact, name, getattr(result, name))
+        return artifact
 
     # -- config ---------------------------------------------------------
 
@@ -103,7 +87,7 @@ class RunArtifact:
 
         return from_dict(self.config_data)
 
-    # -- the measurement set (mirrors RunResult) ------------------------
+    # -- the measurement set ------------------------------------------
 
     @property
     def traces(self):
@@ -148,7 +132,10 @@ class RunArtifact:
     # -- telemetry ------------------------------------------------------
 
     def metrics_snapshot(self):
-        """The metrics report captured at the end of the run."""
+        """The metrics report captured at the end of the run.
+
+        Empty when the run was configured with ``telemetry=False``.
+        """
         return self.metrics
 
     def event_log_jsonl(self):
@@ -156,21 +143,34 @@ class RunArtifact:
         return self.event_jsonl
 
     def node_metrics_snapshot(self, node_id):
-        """One node's slice of the metrics, with the label stripped."""
+        """One node's slice of the metrics, with the label stripped.
+
+        Clustered runs label every node-side instrument ``{node=<id>}``;
+        this filters the snapshot down to one node, keyed by the bare
+        instrument name, so per-node reports read exactly like a
+        single-node ``metrics_snapshot()``.
+        """
         return snapshot_node_slice(self.metrics, node_id)
 
     def metrics_rollup(self):
-        """Cluster-wide totals: labeled instruments merged by base name."""
+        """Cluster-wide totals: labeled instruments merged by base name.
+
+        Counters and gauge values/maxima sum across nodes; histograms
+        merge exactly for ``count``/``sum``/``mean``/``min``/``max``
+        (quantiles do not compose across sketches, so merged histograms
+        omit them).  Unlabeled instruments pass through untouched.
+        """
         return snapshot_rollup(self.metrics)
 
     # -- robustness + correctness accounting ----------------------------
 
     @property
     def shed_txns(self):
+        """Arrivals rejected by the bounded submission queue."""
         return self.failed_counts.get("shed", 0)
 
     def check_report(self):
-        """The oracle verdict computed where the run executed.
+        """The oracle verdict, computed once where the run executed.
 
         ``[]`` means clean; ``None`` when the run had ``check=False``.
         """

@@ -287,29 +287,13 @@ class LockManager:
             return self.head_scan_fraction
         return 1.0
 
-    def charge_bookkeeping(self, entries):
-        """Generator: pay for one lock_sys operation over ``entries`` structs.
-
-        Serialised on the global lock_sys mutex; with head placement the
-        wanted struct is found early, shortening the effective scan.
-        """
-        if not self.bookkeeping:
-            return
-        cost = (
-            self.bookkeeping_base
-            + self.bookkeeping_per_entry * entries * self._scan_fraction()
-        )
-        yield from self.lock_sys_mutex.acquire()
-        self.bookkeeping_time += cost
-        yield cost
-        self.lock_sys_mutex.release()
-
     def request_timed(self, ctx, obj_id, mode):
         """Generator: :meth:`request` preceded by its bookkeeping cost.
 
-        ``charge_bookkeeping`` is inlined here (with the uncontended
-        mutex-acquire fast path flattened) — this runs once per lock
-        request, and the two extra generator frames cost real wall time.
+        One lock_sys operation over the object's granted + waiting
+        structs, serialised on the global lock_sys mutex; with head
+        placement the wanted struct is found early, shortening the
+        effective scan.  The uncontended mutex acquire is flattened.
         """
         if self.bookkeeping:
             obj = self._objects.get(obj_id)

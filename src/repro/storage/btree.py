@@ -138,23 +138,8 @@ class BTreeIndex:
         return self.n_leaves + sum(self.level_widths)
 
     # ------------------------------------------------------------------
-    # Traversal / mutation cost generators
+    # Mutation cost generators
     # ------------------------------------------------------------------
-
-    def search(self, ctx, key, pool, dirty=False, backlog=None):
-        """Generator: descend the tree to ``key``'s leaf.
-
-        Touches one buffer-pool page per level plus the leaf (the caller
-        wraps this in a ``btr_cur_search_to_nth_level`` traced frame).
-        Evaluates to the leaf page id.
-        """
-        for page_id in self.interior_pages(key):
-            yield self.level_cpu_cost
-            yield from pool.fix_page(ctx, page_id, dirty=False, backlog=backlog)
-        yield self.level_cpu_cost
-        leaf = self.leaf_page(key)
-        yield from pool.fix_page(ctx, leaf, dirty=dirty, backlog=backlog)
-        return leaf
 
     def insert_body(self, rng):
         """Generator: the variable-path body of a clustered-index insert.

@@ -17,21 +17,25 @@ Three properties carry everything:
    equals the one computed from a direct ``run_experiment`` call.
 """
 
+import inspect
 import pickle
+from array import array
 
 import pytest
 
 from repro.bench.digest import run_digest, run_payload
-from repro.bench.runner import ExperimentConfig, run_experiment
+from repro.bench.runner import ExperimentConfig, RunResult, run_experiment
 from repro.cluster import Topology
 from repro.engines.mysql import MySQLConfig
 from repro.engines.postgres import PostgresConfig
 from repro.engines.voltdb import VoltDBConfig
 from repro.exec import Executor, config_fields, from_dict, run_many, to_dict
 from repro.exec import executor as executor_module
+from repro.exec.artifact import RunArtifact
 from repro.faults.plan import FaultPlan
 from repro.replication import ReplicationConfig
 from repro.sim.disk import DiskConfig
+from repro.sim.kernel import Simulator
 from repro.sim.network import NetworkConfig
 from repro.wal.mysql_log import FlushPolicy
 
@@ -210,10 +214,51 @@ def test_valid_workload_kwargs_accepted():
 # ----------------------------------------------------------------------
 
 
+def _plain(value):
+    """Structural form of an accessor's value, comparable across a pickle.
+
+    Traces, histories and summaries compare by identity; this turns them
+    (and everything under them) into dicts, lists and scalars.
+    """
+    if isinstance(value, dict):
+        return {key: _plain(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple, array)):
+        return [_plain(val) for val in value]
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    slots = getattr(type(value), "__slots__", None)
+    if slots is not None:
+        return (type(value).__name__,
+                {name: _plain(getattr(value, name)) for name in slots})
+    return value
+
+
+def _read_api(run):
+    """Every public read accessor of ``run``, evaluated to plain data."""
+    txn_type = run.all_traces[0].txn_type
+    arguments = {
+        "latencies_of": (txn_type,),
+        "node_metrics_snapshot": (0,),
+    }
+    values = {}
+    for name, member in vars(RunArtifact).items():
+        if name.startswith("_") or name == "from_result":
+            continue
+        value = getattr(run, name)
+        if inspect.isfunction(member):
+            value = value(*arguments.get(name, ()))
+        values[name] = _plain(value)
+    return values
+
+
 def test_artifact_mirrors_run_result():
-    config = tiny(check=True)
+    config = tiny(
+        workload="tpcc",
+        workload_kwargs={"warehouses": 4, "remote_payment_prob": 0.3},
+        n_txns=60, num_shards=2, replicas=1, check=True, telemetry=True,
+    )
     result = run_experiment(config)
-    artifact = result.artifact()
+    artifact = RunArtifact.from_result(result)
     assert artifact.latencies == result.latencies
     assert artifact.summary.mean == result.summary.mean
     assert artifact.summary.variance == result.summary.variance
@@ -229,13 +274,66 @@ def test_artifact_mirrors_run_result():
     assert artifact.config_digest == config.config_digest()
     assert run_digest(artifact) == run_digest(result)
 
+    # Every read accessor, on the live result and on a pickled copy.
+    clone = pickle.loads(pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL))
+    live = _read_api(result)
+    assert live == _read_api(clone)
+    assert {"committed_count", "cluster_stats", "dispatch_count",
+            "final_clock", "txn_outcomes", "node_metrics_snapshot",
+            "metrics_rollup", "history", "config"} <= set(live)
+    assert live["cluster_stats"]["cross_shard_txns"] > 0
+    assert live["node_metrics_snapshot"] and live["metrics_rollup"]
+    assert live["final_clock"] == result.sim.now
+    assert live["dispatch_count"] == result.sim.dispatch_count
+
+
+def test_run_result_adds_only_live_handles():
+    own = {name for name in vars(RunResult)
+           if not (name.startswith("__") and name.endswith("__"))}
+    assert own == {"sim", "engine", "log"}
+    methods = {name for name, member in vars(RunResult).items()
+               if inspect.isfunction(member)
+               or isinstance(member, (property, classmethod, staticmethod))}
+    assert methods == {"__init__", "__repr__"}
+
+
+def test_oracles_run_once_per_run(monkeypatch):
+    from repro.check import oracles
+
+    real = oracles.check_all
+    calls = []
+
+    def counting(history):
+        calls.append(history)
+        return real(history)
+
+    monkeypatch.setattr(oracles, "check_all", counting)
+    result = run_experiment(tiny(check=True))
+    assert result.check_report() == []
+    assert result.check_report() == []
+    artifact = RunArtifact.from_result(result)
+    assert artifact.check_report() == []
+    assert len(calls) == 1
+
+
+def test_perfbench_contract():
+    """The entry points the frozen benchmark harness patches and reads."""
+    assert isinstance(RunArtifact.__dict__["from_result"], classmethod)
+
+    class Kernel(Simulator):
+        pass
+
+    result = run_experiment(tiny(), simulator_cls=Kernel)
+    assert isinstance(result.sim, Kernel)
+    assert type(RunArtifact.from_result(result)) is RunArtifact
+
 
 def test_artifact_pickle_round_trip():
     config = tiny(
         workload="tpcc", workload_kwargs={"warehouses": 4}, num_shards=2,
         fault_plan=FaultPlan(name="p", io_error_prob=0.005), check=True,
     )
-    artifact = run_experiment(config).artifact()
+    artifact = RunArtifact.from_result(run_experiment(config))
     clone = pickle.loads(pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL))
     assert run_digest(clone) == run_digest(artifact)
     assert clone.outcome_counts == artifact.outcome_counts
@@ -250,7 +348,7 @@ def test_artifact_cluster_stats():
                   workload_kwargs={"warehouses": 8,
                                    "remote_payment_prob": 0.3},
                   num_shards=2)
-    artifact = run_experiment(config).artifact()
+    artifact = RunArtifact.from_result(run_experiment(config))
     stats = artifact.cluster_stats
     assert stats["single_home_txns"] + stats["cross_shard_txns"] > 0
     assert tiny().replaced(n_txns=20).config_digest()  # smoke: replaced chains
