@@ -91,9 +91,6 @@ class LRUList:
     def old_pages(self):
         return list(self._old)
 
-    def in_old(self, page_id):
-        return page_id in self._old
-
     # ------------------------------------------------------------------
     # Mutations (call under the pool mutex)
     # ------------------------------------------------------------------
@@ -211,11 +208,9 @@ class LRUList:
         """
         if page_id in self._old:
             return True
-        young = self._young
-        if page_id not in young:
-            raise KeyError("page %r not in LRU" % (page_id,))
-        return (self._clock - self._stamp.get(page_id, 0)) > (
-            self.young_reorder_depth * len(young)
+        # Every listed page has a stamp, so a missing one raises KeyError.
+        return self._clock - self._stamp[page_id] > (
+            self.young_reorder_depth * len(self._young)
         )
 
     def victim(self):

@@ -20,6 +20,13 @@ Table 1: ``buf_page_make_young`` -> ``buf_pool_mutex_enter`` ->
 ``buf_pool_mutex_enter`` / ``buf_LRU_get_free_block``.  Each path is one
 flat generator carrying those frames as inline tracer markers.
 
+The pool owns the hit protocol, as public steps: ``lookup`` counts the
+access, a hit pauses for ``hit_cost`` and asks ``hit_check`` (evicted
+meanwhile, promote via ``make_young``, or done), a miss takes
+``read_in``.  The checks are plain calls, so the MySQL statement loop
+runs them with no generator per page access; ``fix_page`` is the same
+steps as one generator.
+
 The pool's state is plain data: the page table maps each resident page
 id to a frame number, and the dirty pages are one set of resident ids.
 Prewarmed pages share frame 0; every read-in takes the next number of a
@@ -95,10 +102,11 @@ class BufferPool:
         self.make_youngs = 0
         self.llu_deferrals = 0
         self.llu_applied = 0
+        # What a hit pauses for, as a float (the statement loops yield it).
+        self.hit_cost = float(self.config.hit_cost)
         # Telemetry instruments.  The hold-time histogram measures how
         # long the pool mutex stays held per critical section — the
         # quantity LLU shrinks and the paper's Table 1 indicts.
-        self._hit_cost = float(self.config.hit_cost)
         tm = sim.telemetry
         self._tm = tm
         self._t_hits = tm.counter(name + ".hits")
@@ -144,20 +152,14 @@ class BufferPool:
 
         The pool restarts empty — no prewarm; the first transactions
         after recovery pay miss-path disk reads, which is part of the
-        crash's latency footprint.  The pool mutex is reset directly
-        (``release`` would refuse: its holder died with the worker pool)
-        and parked waiters are dropped — they are dead processes.
+        crash's latency footprint.  The pool mutex is reset: its holder
+        and parked waiters died with the worker pool.
         """
         self._pages.clear()
         self._dirty.clear()
-        self._lru = LRUList(
-            self.config.capacity_pages,
-            old_ratio=self.config.old_ratio,
-            young_reorder_depth=self.config.young_reorder_depth,
-        )
-        mutex = self.mutex._mutex if self.config.lazy_lru else self.mutex
-        mutex.holder = None
-        mutex._waiters.clear()
+        lru = self._lru
+        self._lru = LRUList(lru.capacity, lru.old_ratio, lru.young_reorder_depth)
+        self.mutex.reset()
         self._t_resident.set(0)
 
     def prewarm(self, page_ids):
@@ -192,6 +194,30 @@ class BufferPool:
         self._lru.insert_old_many(fresh)
         return len(pages)
 
+    def lookup(self, page_id):
+        """The frame ``page_id`` is resident in, or None; counts a hit or miss."""
+        frame = self._pages.get(page_id)
+        if frame is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return frame
+
+    def hit_check(self, page_id, frame, dirty=False):
+        """What a hit on ``frame`` does after its ``hit_cost`` pause.
+
+        ``"evicted"`` if the frame was evicted or replaced meanwhile (take
+        the miss path); else the page is dirtied if asked and the answer
+        is ``"promote"`` if the LRU list wants it made young, or ``"done"``.
+        """
+        if self._pages.get(page_id) != frame:
+            return "evicted"
+        if dirty:
+            self._dirty.add(page_id)
+        if self._lru.needs_make_young(page_id):
+            return "promote"
+        return "done"
+
     def fix_page(self, ctx, page_id, dirty=False, backlog=None):
         """Generator: pin ``page_id``, reading it in on a miss.
 
@@ -199,47 +225,23 @@ class BufferPool:
         is the calling worker's deferred-LRU-update list; it is only
         consulted when the pool runs with Lazy LRU Update.
         """
-        pages_get = self._pages.get
         while True:
-            frame = pages_get(page_id)
+            frame = self.lookup(page_id)
             if frame is None:
+                return (yield from self.read_in(ctx, page_id, dirty))
+            yield self.hit_cost
+            state = self.hit_check(page_id, frame, dirty)
+            if state != "evicted":
                 break
-            self.hits += 1
-            yield self._hit_cost
-            if pages_get(page_id) != frame:
-                # Evicted (or replaced) while we paused: take the miss path.
-                continue
-            if dirty:
-                self._dirty.add(page_id)
-            # Inlined ``self._lru.needs_make_young(page_id)`` — the hit
-            # path runs once per page access and the call overhead alone
-            # shows up in run wall time.
-            lru = self._lru
-            if page_id in lru._old:
-                promote = True
-            else:
-                young = lru._young
-                if page_id not in young:
-                    raise KeyError("page %r not in LRU" % (page_id,))
-                promote = (lru._clock - lru._stamp.get(page_id, 0)) > (
-                    lru.young_reorder_depth * len(young)
-                )
-            if promote:
-                yield from self._make_young(ctx, page_id, backlog)
-            return frame
-        self.misses += 1
-        frame = yield from self._read_in(ctx, page_id)
-        # The frame may have been evicted during the read: then there is
-        # nothing left to dirty.
-        if dirty and pages_get(page_id) == frame:
-            self._dirty.add(page_id)
+        if state == "promote":
+            yield from self.make_young(ctx, page_id, backlog)
         return frame
 
     # ------------------------------------------------------------------
     # Make-young path (buf_page_make_young)
     # ------------------------------------------------------------------
 
-    def _make_young(self, ctx, page_id, backlog):
+    def make_young(self, ctx, page_id, backlog):
         """Generator: ``buf_page_make_young`` for a hit that needs promoting.
 
         One flat generator with inline markers for the frames below it
@@ -309,7 +311,7 @@ class BufferPool:
     # Miss path (buf_read_page)
     # ------------------------------------------------------------------
 
-    def _read_in(self, ctx, page_id):
+    def read_in(self, ctx, page_id, dirty=False):
         """Generator: ``buf_read_page``; evaluates to the page's frame number.
 
         Markers for ``buf_pool_mutex_enter`` (site ``read_page``) and
@@ -317,7 +319,9 @@ class BufferPool:
         holding the pool mutex — evicting a victim if the pool is full,
         and writing a dirty victim back *under the mutex* (the MySQL 5.6
         single-page-flush pathology that makes hold times heavy-tailed
-        under memory pressure).  The wanted page is read outside it.
+        under memory pressure).  The wanted page is read outside it, and
+        marked dirty at the end if ``dirty`` and the frame is still
+        resident.
         """
         tracer = self.tracer
         charge = tracer.probe_charge()
@@ -356,9 +360,9 @@ class BufferPool:
                 lru.remove(victim_id)
                 self.evictions += 1
                 self._t_evictions.inc()
-                dirty = self._dirty
-                if victim_id in dirty:
-                    dirty.remove(victim_id)
+                dirty_pages = self._dirty
+                if victim_id in dirty_pages:
+                    dirty_pages.remove(victim_id)
                     self.dirty_writebacks += 1
                     self._t_writebacks.inc()
                     yield from self.disk.write(config.page_bytes)
@@ -376,6 +380,10 @@ class BufferPool:
         if on_read:
             yield from charge
             tracer.exit(ctx, read_frame)
+        # The frame may have been evicted during the read: then there is
+        # nothing left to dirty.
+        if dirty and pages.get(page_id) == frame:
+            self._dirty.add(page_id)
         return frame
 
     def __repr__(self):

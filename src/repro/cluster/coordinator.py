@@ -283,7 +283,7 @@ class Cluster:
         # ``coord_crash``.
         network = self.network
         try:
-            if network._faults.enabled:
+            if self.sim.faults.enabled:
                 yield from network.send(
                     self.COORD, node.node_id, self.topology.request_bytes
                 )

@@ -140,6 +140,12 @@ class TransactionContext:
             )
         self.end_time = self.sim.now
 
+    def abandon(self):
+        """Drop open traced frames and any open interval: the session
+        died mid-run (a node crash), so they will never be closed."""
+        del self.stack[:]
+        self._interval_start = None
+
     # -- VoltDB-style interval concatenation ---------------------------
 
     def begin_interval(self):

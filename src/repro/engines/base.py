@@ -485,13 +485,11 @@ class Engine:
             item, worker.current = worker.current, None
             if item is not None:
                 self._crash_item(item, report)
-        for item in self.queue._items:
+        # Dead items would be executed by the reborn pool as if nothing
+        # happened.
+        for item in self.queue.drain():
             if item is not _Shutdown:
                 self._crash_item(item, report)
-        # Dead getters would silently swallow future puts; dead items
-        # would be executed by the reborn pool as if nothing happened.
-        self.queue._items.clear()
-        self.queue._getters.clear()
         self._t_submit_depth.set(0)
         report.lost = tuple(self._crash_volatile(report))
         return report
@@ -532,8 +530,7 @@ class Engine:
 
     def _crash_txn(self, ctx):
         """Fail one client transaction whose session died with the node."""
-        del ctx.stack[:]
-        ctx._interval_start = None
+        ctx.abandon()
         if self.check.enabled:
             self.check.locks_released(ctx, self.sim.now)
         self._give_up(ctx, "node_crash")
@@ -580,7 +577,7 @@ class Engine:
             # stretch waiting on recovery (or failover), not on execution
             # — attribute it so the variance tree can rank the stalls.
             site = "replication" if stall_frame == "promote_wait" else "recovery"
-            for item in self.queue._items:
+            for item in self.queue:
                 if item is _Shutdown or item.__class__ is Branch:
                     continue
                 ctx = item[0]

@@ -32,6 +32,10 @@ Every attempt and every 2PC branch runs one flat statement loop
 instrumented run executes the same generator as an uninstrumented one;
 the buffer pool carries its own markers, the redo log wraps its
 ``log_write_up_to`` / ``fil_flush`` generators with ``Tracer.traced``.
+The loop owns no cost policy and reads no other module's private
+fields: CPU bursts, the B-tree descent and insert paths, the buffer
+pool's hit protocol and the lock_sys scan are each priced by the
+substrate that owns them, through public steps.
 
 Locks are held to commit (strict 2PL); a deadlock or lock-wait timeout
 aborts the attempt, releases everything, and retries under the base
@@ -231,11 +235,17 @@ class MySQLEngine(Engine):
         node or 2PC branch.  The call graph's frames are inline tracer
         markers (:mod:`repro.core.tracing`) guarded by booleans computed
         once per attempt, so an uninstrumented statement pays only those
-        tests.  The B-tree descent, the record-lock bookkeeping and the
-        CPU burst are inlined too: the kernel resumes every yield through
-        each frame of a delegation chain, and chain depth is the largest
-        wall-clock cost of a run.  The buffer pool's miss and make-young
-        paths and the lock-wait path stay calls with markers of their own.
+        tests.  Each cost policy lives in the substrate that owns it; the
+        loop asks for it through plain (non-generator) steps and yields
+        the delay itself — :meth:`CoreSet.book` for a CPU burst,
+        :meth:`BTreeIndex.descent_path` and :meth:`BTreeIndex.insert_cost`,
+        :meth:`BufferPool.lookup` and :meth:`BufferPool.hit_check` for a
+        page access — because the kernel resumes every yield through each
+        frame of a delegation chain, and chain depth is the largest
+        wall-clock cost of a run.  Only the paths that can block are
+        generators, with markers of their own: the record lock
+        (:meth:`LockManager.request_timed`) and its wait, and the buffer
+        pool's miss and make-young paths.
 
         With a ``branch`` (a 2PC participant) the loop opens no
         ``do_command`` / ``dispatch_command`` / ``mysql_execute_command``
@@ -261,31 +271,20 @@ class MySQLEngine(Engine):
         on_commit = "innobase_commit" in instrumented
         on_trx = "trx_commit" in instrumented
         redo_bytes = 0
-        sim = self.sim
         check = self.check
-        cpu = self.cpu
-        busy = cpu._busy_until
+        book = self.cpu.book
         sample = self._stmt_cpu_dist.sample
         rng = self.rng
-        tables = self.catalog._tables
+        tables = self.catalog.tables
         pool = self.pool
-        pages_get = pool._pages.get
-        dirty_pages = pool._dirty
-        hit_cost = pool._hit_cost
-        lru = pool._lru
+        lookup = pool.lookup
+        hit_check = pool.hit_check
+        hit_cost = pool.hit_cost
         backlog = worker.llu_backlog
         lockmgr = self.lockmgr
-        bookkeeping = lockmgr.bookkeeping
-        if bookkeeping:
-            objects_get = lockmgr._objects.get
-            bk_base = lockmgr.bookkeeping_base
-            bk_per_entry = lockmgr.bookkeeping_per_entry
-            scan_frac = lockmgr._scan_fraction()
-            mutex = lockmgr.lock_sys_mutex
+        request_timed = lockmgr.request_timed
         row_cpu = self.config.row_cpu
-        WAITING = RequestStatus.WAITING
         GRANTED = RequestStatus.GRANTED
-        DEADLOCK = RequestStatus.DEADLOCK
         session_frames = []
         for name in session_names:
             yield from charge
@@ -295,19 +294,9 @@ class MySQLEngine(Engine):
             # Parse/plan/execute CPU runs on a finite core set: near
             # saturation, CPU queueing stretches statements and therefore
             # lock hold times — the paper's hardware regime.
-            # (CoreSet.consume, inline.)
             cost = sample(rng)
             if cost > 0:
-                cpu.total_bursts += 1
-                cpu.total_busy += cost
-                index = busy.index(min(busy))
-                now = sim.now
-                start = busy[index]
-                if now > start:
-                    start = now
-                end = start + cost
-                busy[index] = end
-                yield end - now
+                yield book(cost)
             table = tables[op.table]
             kind = op.kind
             key = op.key
@@ -328,32 +317,15 @@ class MySQLEngine(Engine):
                     yield from charge
                     stmt_frame = enter(ctx, stmt)
                 # Updates and inserts take the record lock (site B)
-                # before the descent: request_timed + lock_rec_lock.
+                # before the descent.
                 if on_lock:
                     yield from charge
                     lock_frame = enter(ctx, "lock_rec_lock")
-                obj_id = table.lock_id(key)
-                if bookkeeping:
-                    obj = objects_get(obj_id)
-                    entries = (
-                        0 if obj is None else len(obj.granted) + len(obj.waiting)
-                    )
-                    if mutex.holder is None:
-                        mutex.holder = sim.current
-                        mutex.total_acquisitions += 1
-                    else:
-                        yield from mutex.acquire()
-                    bk_cost = bk_base + bk_per_entry * entries * scan_frac
-                    lockmgr.bookkeeping_time += bk_cost
-                    yield bk_cost
-                    mutex.release()
-                request = lockmgr.request(ctx, obj_id, LockMode.X)
-                if request.status is WAITING:
-                    yield from self._lock_wait(ctx, request, "B")
-                status = request.status
-                if status is not GRANTED:
-                    ok = False
-                    ctx.abort_reason = "deadlock" if status is DEADLOCK else "timeout"
+                request = yield from request_timed(
+                    ctx, table.lock_id(key), LockMode.X
+                )
+                if request.status is not GRANTED:
+                    ok = yield from self._lock_wait(ctx, request, "B")
                 if on_lock:
                     yield from charge
                     leave(ctx, lock_frame)
@@ -364,55 +336,30 @@ class MySQLEngine(Engine):
                         yield from charge
                         clust_frame = enter(ctx, "row_ins_clust_index_entry_low")
             if ok:
-                # The B-tree descent: one buffer-pool access per
-                # interior level plus the leaf, with fix_page's hit
-                # protocol flattened (miss / make-young call the pool).
-                # The descent-path cache of ``interior_pages`` and the
-                # slot math of ``leaf_page`` are inlined too — both
-                # recompute the same leaf slot.
+                # The B-tree descent: one buffer-pool access per level,
+                # the steps of BufferPool.fix_page without its generator;
+                # only the leaf is dirtied.
                 if on_search:
                     yield from charge
                     search_frame = enter(ctx, "btr_cur_search_to_nth_level")
                 index_obj = table.index
                 level_cost = index_obj.level_cpu_cost
-                slot = (key % index_obj.n_keys) // index_obj.keys_per_leaf
-                path = index_obj._full_path_cache.get(slot)
-                if path is None:
-                    path = index_obj._full_path_cache[slot] = (
-                        index_obj.interior_pages(key)
-                        + (index_obj.leaf_page(key),)
-                    )
-                last = len(path) - 1
-                for i, page_id in enumerate(path):
-                    dirty_here = dirty and i == last
+                path = index_obj.descent_path(key)
+                leaf = path[-1]
+                for page_id in path:
+                    dirty_here = dirty and page_id == leaf
                     yield level_cost
                     while True:
-                        frame = pages_get(page_id)
+                        frame = lookup(page_id)
                         if frame is None:
-                            pool.misses += 1
-                            frame = yield from pool._read_in(ctx, page_id)
-                            if dirty_here and pages_get(page_id) == frame:
-                                dirty_pages.add(page_id)
+                            yield from pool.read_in(ctx, page_id, dirty_here)
                             break
-                        pool.hits += 1
                         yield hit_cost
-                        if pages_get(page_id) != frame:
-                            # Evicted while paused: take the miss path.
-                            continue
-                        if dirty_here:
-                            dirty_pages.add(page_id)
-                        if page_id in lru._old:
-                            promote = True
-                        else:
-                            young = lru._young
-                            if page_id not in young:
-                                raise KeyError("page %r not in LRU" % (page_id,))
-                            promote = (lru._clock - lru._stamp.get(page_id, 0)) > (
-                                lru.young_reorder_depth * len(young)
-                            )
-                        if promote:
-                            yield from pool._make_young(ctx, page_id, backlog)
-                        break
+                        state = hit_check(page_id, frame, dirty_here)
+                        if state != "evicted":
+                            if state == "promote":
+                                yield from pool.make_young(ctx, page_id, backlog)
+                            break
                 if on_search:
                     yield from charge
                     leave(ctx, search_frame)
@@ -427,32 +374,11 @@ class MySQLEngine(Engine):
                             yield from charge
                             lock_frame = enter(ctx, "lock_rec_lock")
                         mode = LockMode.X if op.lock == "X" else LockMode.S
-                        obj_id = table.lock_id(key)
-                        if bookkeeping:
-                            obj = objects_get(obj_id)
-                            entries = (
-                                0
-                                if obj is None
-                                else len(obj.granted) + len(obj.waiting)
-                            )
-                            if mutex.holder is None:
-                                mutex.holder = sim.current
-                                mutex.total_acquisitions += 1
-                            else:
-                                yield from mutex.acquire()
-                            bk_cost = bk_base + bk_per_entry * entries * scan_frac
-                            lockmgr.bookkeeping_time += bk_cost
-                            yield bk_cost
-                            mutex.release()
-                        request = lockmgr.request(ctx, obj_id, mode)
-                        if request.status is WAITING:
-                            yield from self._lock_wait(ctx, request, "A")
-                        status = request.status
-                        if status is not GRANTED:
-                            ok = False
-                            ctx.abort_reason = (
-                                "deadlock" if status is DEADLOCK else "timeout"
-                            )
+                        request = yield from request_timed(
+                            ctx, table.lock_id(key), mode
+                        )
+                        if request.status is not GRANTED:
+                            ok = yield from self._lock_wait(ctx, request, "A")
                         if on_lock:
                             yield from charge
                             leave(ctx, lock_frame)
@@ -462,16 +388,7 @@ class MySQLEngine(Engine):
                 elif kind == "update":
                     yield row_cpu
                 else:
-                    # BTreeIndex.insert_body, inline.
-                    draw = rng.random()
-                    if draw < index_obj.reorg_probability:
-                        yield index_obj.reorg_cpu_cost
-                    elif draw < (
-                        index_obj.reorg_probability + index_obj.split_probability
-                    ):
-                        yield index_obj.split_cpu_cost
-                    else:
-                        yield index_obj.insert_cpu_cost
+                    yield index_obj.insert_cost(rng)
                     if on_clust:
                         yield from charge
                         leave(ctx, clust_frame)
@@ -518,29 +435,39 @@ class MySQLEngine(Engine):
         return ok
 
     def _lock_wait(self, ctx, request, site):
-        """Generator: ``lock_wait_suspend_thread`` -> ``os_event_wait``.
+        """Generator: the slow path of ``lock_rec_lock``; True if granted.
 
-        The rare slow path of ``lock_rec_lock``; ``site`` is ``"A"`` for
-        locking selects and ``"B"`` for updates and inserts, so the two
-        waits show up as separate factors.
+        A waiting request suspends in ``lock_wait_suspend_thread`` ->
+        ``os_event_wait``; ``site`` is ``"A"`` for locking selects and
+        ``"B"`` for updates and inserts, so the two waits show up as
+        separate factors.  A deadlock or a timeout sets
+        ``ctx.abort_reason``.
         """
-        tracer = self.tracer
-        charge = tracer.probe_charge()
-        on_suspend = "lock_wait_suspend_thread" in tracer.instrumented
-        on_wait = "os_event_wait" in tracer.instrumented
-        if on_suspend:
-            yield from charge
-            suspend_frame = tracer.enter(ctx, "lock_wait_suspend_thread", site)
-        if on_wait:
-            yield from charge
-            wait_frame = tracer.enter(ctx, "os_event_wait", site)
-        yield from self.lockmgr.wait(request)
-        if on_wait:
-            yield from charge
-            tracer.exit(ctx, wait_frame)
-        if on_suspend:
-            yield from charge
-            tracer.exit(ctx, suspend_frame)
+        if request.status is RequestStatus.WAITING:
+            tracer = self.tracer
+            charge = tracer.probe_charge()
+            on_suspend = "lock_wait_suspend_thread" in tracer.instrumented
+            on_wait = "os_event_wait" in tracer.instrumented
+            if on_suspend:
+                yield from charge
+                suspend_frame = tracer.enter(ctx, "lock_wait_suspend_thread", site)
+            if on_wait:
+                yield from charge
+                wait_frame = tracer.enter(ctx, "os_event_wait", site)
+            yield from self.lockmgr.wait(request)
+            if on_wait:
+                yield from charge
+                tracer.exit(ctx, wait_frame)
+            if on_suspend:
+                yield from charge
+                tracer.exit(ctx, suspend_frame)
+        status = request.status
+        if status is RequestStatus.GRANTED:
+            return True
+        ctx.abort_reason = (
+            "deadlock" if status is RequestStatus.DEADLOCK else "timeout"
+        )
+        return False
 
     # ------------------------------------------------------------------
     # 2PC participant branches (XA)

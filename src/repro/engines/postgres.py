@@ -206,7 +206,7 @@ class PostgresEngine(Engine):
         predicate_lock_cpu = config.predicate_lock_cpu
         sample = self._index_cpu.sample
         rng = self.rng
-        tables = self.catalog._tables
+        tables = self.catalog.tables
         lockmgr = self.lockmgr
         lock_request = lockmgr.request
         check = self.check

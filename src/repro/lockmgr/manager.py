@@ -135,6 +135,11 @@ class LockManager:
         self.bookkeeping_base = bookkeeping_base
         self.bookkeeping_per_entry = bookkeeping_per_entry
         self.head_scan_fraction = head_scan_fraction
+        self._scan_fraction = (
+            head_scan_fraction
+            if getattr(scheduler, "head_placement", False)
+            else 1.0
+        )
         self.lock_sys_mutex = Mutex(sim, name="lock_sys") if bookkeeping else None
         self._check = sim.check
         self._objects = {}
@@ -276,62 +281,43 @@ class LockManager:
 
     # -- lock_sys bookkeeping (InnoDB hash-bucket scans) -----------------
 
-    def _scan_entries(self, obj_id):
-        obj = self._objects.get(obj_id)
-        if obj is None:
-            return 0
-        return len(obj.granted) + len(obj.waiting)
-
-    def _scan_fraction(self):
-        if getattr(self.scheduler, "head_placement", False):
-            return self.head_scan_fraction
-        return 1.0
+    def lock_sys_cost(self, *obj_ids):
+        """Virtual time of one lock_sys operation over ``obj_ids``: a base
+        plus a per-entry scan of their granted + waiting structs, shortened
+        to ``head_scan_fraction`` under head placement (VATS)."""
+        objects_get = self._objects.get
+        entries = 0
+        for obj_id in obj_ids:
+            obj = objects_get(obj_id)
+            if obj is not None:
+                entries += len(obj.granted) + len(obj.waiting)
+        return (
+            self.bookkeeping_base
+            + self.bookkeeping_per_entry * entries * self._scan_fraction
+        )
 
     def request_timed(self, ctx, obj_id, mode):
-        """Generator: :meth:`request` preceded by its bookkeeping cost.
-
-        One lock_sys operation over the object's granted + waiting
-        structs, serialised on the global lock_sys mutex; with head
-        placement the wanted struct is found early, shortening the
-        effective scan.  The uncontended mutex acquire is flattened.
-        """
+        """Generator: :meth:`request` preceded by its bookkeeping cost."""
         if self.bookkeeping:
-            obj = self._objects.get(obj_id)
-            entries = 0 if obj is None else len(obj.granted) + len(obj.waiting)
-            cost = (
-                self.bookkeeping_base
-                + self.bookkeeping_per_entry * entries * self._scan_fraction()
-            )
-            mutex = self.lock_sys_mutex
-            if mutex.holder is None:
-                mutex.holder = self.sim.current
-                mutex.total_acquisitions += 1
-            else:
-                yield from mutex.acquire()
-            self.bookkeeping_time += cost
-            yield cost
-            mutex.release()
+            yield from self._lock_sys_op(self.lock_sys_cost(obj_id))
         return self.request(ctx, obj_id, mode)
 
     def release_all_timed(self, ctx):
         """Generator: :meth:`release_all` preceded by its bookkeeping cost."""
-        held = self._held.get(ctx, {})
+        held = self._held.get(ctx)
         if self.bookkeeping and held:
-            entries = sum(self._scan_entries(obj_id) for obj_id in held)
-            cost = (
-                self.bookkeeping_base
-                + self.bookkeeping_per_entry * entries * self._scan_fraction()
-            )
-            mutex = self.lock_sys_mutex
-            if mutex.holder is None:
-                mutex.holder = self.sim.current
-                mutex.total_acquisitions += 1
-            else:
-                yield from mutex.acquire()
-            self.bookkeeping_time += cost
-            yield cost
-            mutex.release()
+            yield from self._lock_sys_op(self.lock_sys_cost(*held))
         self.release_all(ctx)
+
+    def _lock_sys_op(self, cost):
+        """Generator: one lock_sys operation of ``cost``, serialised on the
+        global lock_sys mutex (which blocks only when contended)."""
+        mutex = self.lock_sys_mutex
+        if not mutex.take():
+            yield from mutex.acquire()
+        self.bookkeeping_time += cost
+        yield cost
+        mutex.release()
 
     def acquire(self, ctx, obj_id, mode):
         """Generator convenience: request + wait; evaluates to the status."""
@@ -392,17 +378,16 @@ class LockManager:
 
         Granted sets, wait queues and waiting-request records all die
         with the server process; no grant pass runs because every waiter
-        is a dead process.  The lock_sys mutex is reset directly (its
-        holder, if any, died too).  Counters survive as run-level
-        accounting.  In-doubt 2PC branches get their locks re-granted by
-        recovery *before* new work is admitted (``repro.recovery``).
+        is a dead process.  The lock_sys mutex is reset (its holder, if
+        any, died too).  Counters survive as run-level accounting.
+        In-doubt 2PC branches get their locks re-granted by recovery
+        *before* new work is admitted (``repro.recovery``).
         """
         self._objects.clear()
         self._held.clear()
         self._waiting_request.clear()
         if self.lock_sys_mutex is not None:
-            self.lock_sys_mutex.holder = None
-            self.lock_sys_mutex._waiters.clear()
+            self.lock_sys_mutex.reset()
 
     def queue_length(self, obj_id):
         obj = self._objects.get(obj_id)

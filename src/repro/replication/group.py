@@ -197,7 +197,7 @@ class ReplicaGroup:
                 continue
             lsn_end, nbytes, origin = self.log[replica.cursor]
             replica.cursor += 1
-            if net._faults.enabled:
+            if self.faults.enabled:
                 yield from net.send(
                     self.net_id, replica.net_id,
                     nbytes + cfg.ship_record_bytes,
@@ -216,7 +216,7 @@ class ReplicaGroup:
             # count of records shipped to this replica.
             replica.recv_cursor = replica.cursor
             self._wake(replica, "apply_wakeup")
-            if net._faults.enabled:
+            if self.faults.enabled:
                 yield from net.send(
                     replica.net_id, self.net_id, cfg.ack_bytes
                 )

@@ -57,23 +57,6 @@ class NetworkConfig:
         self.bandwidth_bytes_per_us = bandwidth_bytes_per_us
         self.loopback_cost = loopback_cost
 
-    @classmethod
-    def lan(cls):
-        """The default same-rack fabric."""
-        return cls()
-
-    @classmethod
-    def wan(cls):
-        """A cross-site fabric: millisecond latency, fatter tail."""
-        return cls(
-            latency_mean=2_000.0,
-            latency_cv=0.25,
-            tail_prob=0.01,
-            tail_scale=20_000.0,
-            tail_alpha=1.8,
-            bandwidth_bytes_per_us=125.0,
-        )
-
 
 class Network:
     """The shared fabric: directed links with FIFO serialisation."""
@@ -119,10 +102,6 @@ class Network:
         if delta:
             self._t_bytes.inc(delta)
             self._flushed_bytes = self.bytes_sent
-
-    def link_queue_delay(self, src, dst):
-        """Virtual time a message on ``src -> dst`` would wait to serialise."""
-        return max(0.0, self._busy_until.get((src, dst), 0.0) - self.sim.now)
 
     def send(self, src, dst, nbytes):
         """Generator: deliver ``nbytes`` from node ``src`` to node ``dst``.

@@ -44,14 +44,19 @@ class Mutex:
     def queue_length(self):
         return sum(1 for entry in self._waiters if not entry.cancelled)
 
+    def take(self):
+        """Take the mutex if it is free (never blocks); True if taken."""
+        if self.holder is None:
+            self.holder = self.sim.current
+            self.total_acquisitions += 1
+            return True
+        return False
+
     def acquire(self):
         """Generator: block until this process holds the mutex."""
-        process = self.sim.current
-        if self.holder is None:
-            self.holder = process
-            self.total_acquisitions += 1
+        if self.take():
             return
-        entry = _MutexEntry(process, self.sim.event())
+        entry = _MutexEntry(self.sim.current, self.sim.event())
         self._waiters.append(entry)
         started = self.sim.now
         self.total_waits += 1
@@ -65,12 +70,9 @@ class Mutex:
         Evaluates to ``True`` if the mutex was acquired, ``False`` if the
         wait was abandoned.  Used by :class:`SpinLock`.
         """
-        process = self.sim.current
-        if self.holder is None:
-            self.holder = process
-            self.total_acquisitions += 1
+        if self.take():
             return True
-        entry = _MutexEntry(process, self.sim.event())
+        entry = _MutexEntry(self.sim.current, self.sim.event())
         self._waiters.append(entry)
         started = self.sim.now
         self.total_waits += 1
@@ -99,6 +101,12 @@ class Mutex:
             entry.event.fire()
             return
         self.holder = None
+
+    def reset(self):
+        """Free the mutex and drop its waiters, with no hand-off: on a
+        node crash the holder and every waiter died with the server."""
+        self.holder = None
+        self._waiters.clear()
 
     def __repr__(self):
         return "<Mutex %s holder=%r waiters=%d>" % (
@@ -152,6 +160,10 @@ class SpinLock:
     def release(self):
         self._mutex.release()
 
+    def reset(self):
+        """See :meth:`Mutex.reset`."""
+        self._mutex.reset()
+
 
 class CoreSet:
     """A fixed set of CPU cores served FIFO.
@@ -188,21 +200,25 @@ class CoreSet:
             return 0.0
         return self.total_busy / (span * self.n_cores)
 
-    def consume(self, cost):
-        """Generator: run a CPU burst of ``cost`` on the earliest-free core."""
-        if cost <= 0:
-            return
+    def book(self, cost):
+        """Book a burst of ``cost`` > 0 on the earliest-free core; returns
+        its delay from now to its end (queueing plus ``cost``) to yield."""
         self.total_bursts += 1
         self.total_busy += cost
         busy = self._busy_until
-        index = busy.index(min(busy))
+        start = min(busy)
+        index = busy.index(start)
         now = self.sim.now
-        start = busy[index]
         if now > start:
             start = now
         end = start + cost
         busy[index] = end
-        yield end - now
+        return end - now
+
+    def consume(self, cost):
+        """Generator: run a CPU burst of ``cost`` on the earliest-free core."""
+        if cost > 0:
+            yield self.book(cost)
 
 
 class WaitQueue:
@@ -224,6 +240,18 @@ class WaitQueue:
 
     def __len__(self):
         return len(self._items)
+
+    def __iter__(self):
+        """The queued items, oldest first (parked getters are not items)."""
+        return iter(self._items)
+
+    def drain(self):
+        """Remove and return every item; drop every parked getter (on a
+        node crash they are dead processes that would swallow puts)."""
+        items = list(self._items)
+        self._items.clear()
+        self._getters.clear()
+        return items
 
     def put(self, item):
         """Enqueue ``item``, waking the longest-waiting getter if any."""

@@ -9,7 +9,7 @@ shapes, and maps keys to buffer-pool pages so the buffer-pool regime
 (2-WH vs 128-WH) determines which accesses hit disk.
 """
 
-from repro.storage.btree import BTreeIndex, InsertOutcome
+from repro.storage.btree import BTreeIndex
 from repro.storage.tables import Table, TableCatalog
 
-__all__ = ["BTreeIndex", "InsertOutcome", "Table", "TableCatalog"]
+__all__ = ["BTreeIndex", "Table", "TableCatalog"]

@@ -17,14 +17,7 @@ These paths give the function the inherent, non-pathological variance
 the paper reports (9.3% of overall variance in the 128-WH config).
 """
 
-import enum
 import math
-
-
-class InsertOutcome(enum.Enum):
-    IN_PAGE = "in_page"
-    PAGE_SPLIT = "page_split"
-    TREE_REORG = "tree_reorg"
 
 
 class BTreeIndex:
@@ -89,7 +82,7 @@ class BTreeIndex:
         """Number this index's pages from ``first_page`` upwards.
 
         Called by the catalog, before any lookup, to give each table its
-        own contiguous range; it resets the descent caches.
+        own contiguous range; it resets the descent-path cache.
         """
         self.first_page = first_page
         bases = []
@@ -99,34 +92,37 @@ class BTreeIndex:
         # First page id of each interior level, widest level first.
         self._level_bases = tuple(bases)
         self._leaf_base = first_page
-        # slot -> tuple of interior page ids (see interior_pages).
-        self._path_cache = {}
-        # slot -> full descent path (interior pages + leaf), for callers
-        # that walk the whole path at once.  Bounded by n_leaves.
-        self._full_path_cache = {}
+        # slot -> descent path (see descent_path).  Bounded by n_leaves.
+        self._paths = {}
 
-    def leaf_page(self, key):
-        """Page id of the leaf holding ``key``."""
-        return self._leaf_base + (key % self.n_keys) // self.keys_per_leaf
+    def descent_path(self, key):
+        """Page ids a search for ``key`` touches, in access order.
 
-    def interior_pages(self, key):
-        """Page ids of the interior nodes a search for ``key`` descends.
-
-        Pure function of the leaf slot, so descents are cached: hot keys
-        hit the same few slots (that is the point of the workload skew)
-        and rebuild the same path tuples millions of times otherwise.
-        The cache is bounded by ``n_leaves``.
+        The interior pages, from the widest level (just above the
+        leaves) up to the one-page root, then the leaf.  A pure function
+        of the leaf slot, so paths are cached: hot keys hit the same few
+        slots (that is the point of the workload skew) and would rebuild
+        the same tuples millions of times otherwise.
         """
         slot = (key % self.n_keys) // self.keys_per_leaf
-        pages = self._path_cache.get(slot)
-        if pages is None:
-            path = []
+        path = self._paths.get(slot)
+        if path is None:
+            pages = []
             level_slot = slot
             for base in self._level_bases:
                 level_slot = level_slot // self.fanout
-                path.append(base + level_slot)
-            pages = self._path_cache[slot] = tuple(path)
-        return pages
+                pages.append(base + level_slot)
+            pages.append(self._leaf_base + slot)
+            path = self._paths[slot] = tuple(pages)
+        return path
+
+    def leaf_page(self, key):
+        """Page id of the leaf holding ``key``."""
+        return self.descent_path(key)[-1]
+
+    def interior_pages(self, key):
+        """Page ids of the interior nodes a search for ``key`` descends."""
+        return self.descent_path(key)[:-1]
 
     def iter_pages(self):
         """All page ids, interior levels first (they should stay hottest)."""
@@ -138,24 +134,24 @@ class BTreeIndex:
         return self.n_leaves + sum(self.level_widths)
 
     # ------------------------------------------------------------------
-    # Mutation cost generators
+    # Mutation cost
     # ------------------------------------------------------------------
 
-    def insert_body(self, rng):
-        """Generator: the variable-path body of a clustered-index insert.
+    def insert_cost(self, rng):
+        """CPU cost of one clustered-index insert; draws its code path.
 
-        Evaluates to the :class:`InsertOutcome` taken (the inherent
-        variance of ``row_ins_clust_index_entry_low``).
+        A tree reorganisation (``reorg_cpu_cost``) with
+        ``reorg_probability``, a page split (``split_cpu_cost``) with
+        ``split_probability``, else a fit in the page
+        (``insert_cpu_cost``) — the inherent variance of
+        ``row_ins_clust_index_entry_low``.  One ``rng.random()`` draw.
         """
         draw = rng.random()
         if draw < self.reorg_probability:
-            yield self.reorg_cpu_cost
-            return InsertOutcome.TREE_REORG
+            return self.reorg_cpu_cost
         if draw < self.reorg_probability + self.split_probability:
-            yield self.split_cpu_cost
-            return InsertOutcome.PAGE_SPLIT
-        yield self.insert_cpu_cost
-        return InsertOutcome.IN_PAGE
+            return self.split_cpu_cost
+        return self.insert_cpu_cost
 
     def __repr__(self):
         return "<BTreeIndex %s keys=%d depth=%d pages=%d>" % (

@@ -1,6 +1,9 @@
 """Experiment harness: configs, results, ratio tables, profiled adapter."""
 
 import gc
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +173,30 @@ class TestReportRendering:
         text = render_profile(result, top=4, config_label="test")
         assert "Function Name" in text
         assert "%" in text
+
+
+class TestPerfbenchVerdict:
+    """``scripts/perfbench_correct.py``, CI's gate on perfbench output."""
+
+    SCRIPT = os.path.join(
+        os.path.dirname(__file__), "..", "scripts", "perfbench_correct.py"
+    )
+
+    @pytest.mark.parametrize(
+        "last_line, ok",
+        [
+            ('{"correct": true, "attempted": 3}', True),
+            ('{"correct": false}', False),
+            ('{"correct": 1}', False),
+            ('{"attempted": 3}', False),
+        ],
+    )
+    def test_passes_only_on_correct_true(self, tmp_path, last_line, ok):
+        out = tmp_path / "out.txt"
+        out.write_text('{"correct": true}\nprogress\n' + last_line + "\n")
+        proc = subprocess.run(
+            [sys.executable, self.SCRIPT, str(out)], capture_output=True
+        )
+        assert (proc.returncode == 0) is ok
+        if not ok:
+            assert b"perfbench: correct=" in proc.stderr

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.storage.btree import BTreeIndex, InsertOutcome
+from repro.storage.btree import BTreeIndex
 from repro.storage.tables import Table, TableCatalog
 
 
@@ -141,28 +141,19 @@ def test_insert_outcome_distribution():
         "t", 1000, split_probability=0.1, reorg_probability=0.05
     )
     rng = random.Random(7)
-    outcomes = []
-
-    def drain(gen):
-        try:
-            while True:
-                next(gen)
-        except StopIteration as stop:
-            return stop.value
-
-    for _ in range(5000):
-        outcomes.append(drain(index.insert_body(rng)))
-    fraction = lambda o: outcomes.count(o) / len(outcomes)
-    assert fraction(InsertOutcome.TREE_REORG) == pytest.approx(0.05, abs=0.02)
-    assert fraction(InsertOutcome.PAGE_SPLIT) == pytest.approx(0.1, abs=0.03)
-    assert fraction(InsertOutcome.IN_PAGE) == pytest.approx(0.85, abs=0.03)
+    # The three code paths have distinct costs, so a cost names its path.
+    costs = [index.insert_cost(rng) for _ in range(5000)]
+    fraction = lambda cost: costs.count(cost) / len(costs)
+    assert fraction(index.reorg_cpu_cost) == pytest.approx(0.05, abs=0.02)
+    assert fraction(index.split_cpu_cost) == pytest.approx(0.1, abs=0.03)
+    assert fraction(index.insert_cpu_cost) == pytest.approx(0.85, abs=0.03)
+    assert len(set(costs)) == 3
 
 
-def test_insert_body_cost_ordering(sim):
+def test_insert_body_cost_ordering():
     """Splits cost more than plain inserts; reorgs cost most — the
     inherent variance of row_ins_clust_index_entry_low."""
     index = BTreeIndex("t", 1000)
-    durations = {}
 
     class FixedRng:
         def __init__(self, draw):
@@ -171,20 +162,21 @@ def test_insert_body_cost_ordering(sim):
         def random(self):
             return self._draw
 
-    from repro.sim.kernel import Timeout
+    reorg = index.insert_cost(FixedRng(0.0))
+    split = index.insert_cost(FixedRng(index.reorg_probability + 1e-9))
+    plain = index.insert_cost(FixedRng(0.99))
+    assert reorg > split > plain
 
-    def timed(tag, rng):
-        start = sim.now
-        yield from index.insert_body(rng)
-        durations[tag] = sim.now - start
 
-    sim.spawn(timed("reorg", FixedRng(0.0)))
-    sim.run()
-    sim.spawn(timed("split", FixedRng(index.reorg_probability + 1e-9)))
-    sim.run()
-    sim.spawn(timed("plain", FixedRng(0.99)))
-    sim.run()
-    assert durations["reorg"] > durations["split"] > durations["plain"]
+def test_descent_path_is_interior_pages_then_leaf():
+    index = BTreeIndex("t", 1_000_000, fanout=10, keys_per_leaf=10)
+    for key in (0, 9, 10, 12_345, 999_999, 1_000_007):
+        path = index.descent_path(key)
+        assert path == index.interior_pages(key) + (index.leaf_page(key),)
+        assert len(path) == index.depth + 1
+        # Cached per leaf slot: keys sharing a leaf share the tuple.
+        slot_start = key - key % index.keys_per_leaf
+        assert index.descent_path(slot_start) is path
 
 
 def test_invalid_key_count():

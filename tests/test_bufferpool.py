@@ -313,6 +313,50 @@ class TestEvictionRace:
         assert pool.dirty_writebacks == 0
 
 
+class TestHitSteps:
+    """``lookup`` and ``hit_check``: the plain steps of ``fix_page`` that
+    the statement loop runs without its generator."""
+
+    def test_hit_check_after_eviction_reports_the_miss_path(self, sim):
+        pool, _disk = make_pool(sim, capacity_pages=2)
+        pool.prewarm(["p", "q"])
+        frame = pool.lookup("p")
+        assert frame == 0 and pool.hits == 1
+        # While the hit would pause, read-ins evict "p" and read it back
+        # into a new frame: the frame seen at lookup is gone either way.
+        ctx = TransactionContext(sim, 1, "t")
+        for page_id in ("r1", "r2", "p"):
+            run_fix(sim, pool, ctx, page_id)
+        assert pool.lookup("p") not in (None, frame)
+        assert pool.hit_check("p", frame, dirty=True) == "evicted"
+        # Nothing was dirtied on the stale frame's behalf.
+        run_fix(sim, pool, ctx, "s1")
+        run_fix(sim, pool, ctx, "s2")
+        assert not pool.contains("p")
+        assert pool.dirty_writebacks == 0
+        assert pool.hit_check("p", frame) == "evicted"
+        assert pool.lookup("p") is None
+
+    def test_hit_check_promotes_old_pages_once(self, sim):
+        pool, _disk = make_pool(sim, capacity_pages=8)
+        pool.prewarm(["p"])
+        frame = pool.lookup("p")
+        # A prewarmed page sits in the old sublist: promote it.
+        assert pool.hit_check("p", frame) == "promote"
+        ctx = TransactionContext(sim, 1, "t")
+        run_fix(sim, pool, ctx, "p")
+        assert pool.make_youngs == 1
+        # Now at the young head, a hit leaves the list alone.
+        assert pool.hit_check("p", frame) == "done"
+
+    def test_lookup_counts_hits_and_misses(self, sim):
+        pool, _disk = make_pool(sim, capacity_pages=8)
+        pool.prewarm(["p"])
+        assert pool.lookup("p") == 0
+        assert pool.lookup("absent") is None
+        assert (pool.hits, pool.misses) == (1, 1)
+
+
 class TestInsertOldMany:
     """``insert_old_many`` must equal a loop of ``insert_old`` calls.
 

@@ -390,8 +390,32 @@ class TestBookkeeping:
     def test_head_placement_shortens_scans(self, sim):
         fcfs = LockManager(sim, FCFSScheduler(), bookkeeping=True)
         vats = LockManager(sim, VATSScheduler(), bookkeeping=True)
-        assert fcfs._scan_fraction() == 1.0
-        assert vats._scan_fraction() < 1.0
+        for lm in (fcfs, vats):
+            lm.request(ctx_at(sim, 1, 0.0), "obj", LockMode.S)
+            lm.request(ctx_at(sim, 2, 0.0), "obj", LockMode.S)
+        assert vats.lock_sys_cost("obj") < fcfs.lock_sys_cost("obj")
+        # Only the scan shortens; an object with no structs costs the base.
+        assert vats.lock_sys_cost("free") == fcfs.bookkeeping_base
+        assert fcfs.lock_sys_cost("free") == fcfs.bookkeeping_base
+
+    def test_lock_sys_cost_grows_with_queue_length(self, sim):
+        lm = LockManager(
+            sim,
+            FCFSScheduler(),
+            bookkeeping=True,
+            bookkeeping_base=1.0,
+            bookkeeping_per_entry=0.5,
+        )
+        costs = [lm.lock_sys_cost("obj")]
+        for txn_id in range(1, 5):
+            # The first X request is granted, the rest queue behind it.
+            lm.request(ctx_at(sim, txn_id, 0.0), "obj", LockMode.X)
+            costs.append(lm.lock_sys_cost("obj"))
+        assert costs == [1.0, 1.5, 2.0, 2.5, 3.0]
+        assert lm.queue_length("obj") == 3
+        # One operation over several objects (a release) pays one base.
+        lm.request(ctx_at(sim, 9, 0.0), "other", LockMode.X)
+        assert lm.lock_sys_cost("obj", "other") == 1.0 + 0.5 * 5
 
     def test_bookkeeping_disabled_is_free(self, sim):
         lm = LockManager(sim, FCFSScheduler(), bookkeeping=False)

@@ -38,6 +38,51 @@ class TestMutex:
         sim.run()
         assert order == ["first", "second", "third"]
 
+    def test_take_only_when_free(self, sim):
+        mutex = Mutex(sim)
+        taken = []
+
+        def proc(tag):
+            taken.append((tag, mutex.take()))
+            yield Timeout(1.0)
+
+        sim.spawn(proc("first"))
+        sim.spawn(proc("second"))
+        sim.run()
+        assert taken == [("first", True), ("second", False)]
+        assert mutex.total_acquisitions == 1
+        assert mutex.total_waits == 0
+
+    def test_reset_frees_and_drops_waiters(self, sim):
+        mutex = Mutex(sim)
+        got = []
+
+        def holder():
+            yield from mutex.acquire()
+            yield Timeout(100.0)
+
+        def waiter():
+            yield Timeout(1.0)
+            yield from mutex.acquire()
+            got.append(sim.now)
+
+        sim.spawn(holder())
+        sim.spawn(waiter())
+        sim.run(until=5.0)
+        assert mutex.queue_length == 1
+        mutex.reset()
+        assert mutex.holder is None and mutex.queue_length == 0
+
+        def newcomer():
+            yield from mutex.acquire()
+            got.append(sim.now)
+            mutex.release()
+
+        sim.spawn(newcomer())
+        sim.run()
+        # The dropped waiter is never handed the mutex.
+        assert got == [5.0]
+
     def test_release_unheld_raises(self, sim):
         mutex = Mutex(sim)
 
@@ -249,6 +294,26 @@ class TestWaitQueue:
         sim.run()
         assert got == [("first", 1), ("second", 2)]
 
+    def test_iterate_and_drain(self, sim):
+        queue = WaitQueue(sim)
+        got = []
+
+        def getter():
+            got.append((yield from queue.get()))
+
+        queue.put("a")
+        queue.put("b")
+        assert list(queue) == ["a", "b"]
+        assert queue.drain() == ["a", "b"]
+        assert len(queue) == 0
+        sim.spawn(getter())  # parks: the queue is empty
+        sim.run()
+        assert queue.drain() == []
+        queue.put("c")  # the dropped getter does not take it
+        sim.run()
+        assert got == []
+        assert list(queue) == ["c"]
+
     def test_peak_length_tracked(self, sim):
         queue = WaitQueue(sim)
 
@@ -310,6 +375,30 @@ class TestCoreSet:
         sim.spawn(proc())
         sim.run()
         assert cpu.utilization(10.0) == pytest.approx(0.5)
+
+    def test_book_is_fifo(self, sim):
+        """Bookings take the earliest-free core in arrival order, so a
+        later burst never ends before an earlier one."""
+        cpu = CoreSet(sim, 2)
+        delays = [cpu.book(10.0) for _ in range(5)]
+        assert delays == [10.0, 10.0, 20.0, 20.0, 30.0]
+        assert cpu.total_bursts == 5
+        assert cpu.total_busy == 50.0
+        assert cpu.queue_delay == 20.0
+
+    def test_book_from_the_current_time(self, sim):
+        cpu = CoreSet(sim, 1)
+        delays = []
+
+        def proc():
+            delays.append(cpu.book(4.0))
+            yield Timeout(10.0)
+            # The core went idle at 4.0: a burst now starts at once.
+            delays.append(cpu.book(3.0))
+
+        sim.spawn(proc())
+        sim.run()
+        assert delays == [4.0, 3.0]
 
     def test_requires_at_least_one_core(self, sim):
         with pytest.raises(ValueError):
